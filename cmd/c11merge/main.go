@@ -1,15 +1,20 @@
 // Command c11merge folds the partial artifacts of a sharded campaign back
 // into the single-machine artifact. Shards partition the seed set
-// deterministically (c11tester -shard i/N), so the merge is exact: the merged
-// summary is byte-identical — after Summary.Canonical, which strips
-// machine-local timing — to the summary of an unsharded run of the same spec.
+// deterministically (c11tester -shard i/N), and every partial summary
+// carries its cells' mergeable state (campaign.CellState). c11merge decodes
+// the partials, folds each cell's states, and renders the merged summary
+// through the same code path a single-machine run uses, so the merge is
+// exact: the merged summary is byte-identical — after Summary.Canonical,
+// which strips machine-local timing — to the summary of an unsharded run of
+// the same spec. It keeps the merged per-cell timing and phase histograms.
 //
 // Modes:
 //
 //	c11merge -o merged.json part0.json part1.json part2.json
 //	    merge K partial summaries (refuses mismatched spec digests, duplicate
-//	    or missing shard indices, and build-provenance skew; -force overrides
-//	    the skew refusal only)
+//	    or missing shard indices, build-provenance skew, and cell states that
+//	    do not match the partial's spec; -force overrides the skew refusal
+//	    only)
 //	c11merge -events merged.jsonl ev0.jsonl ev1.jsonl ...
 //	    merge event streams into one canonical stream (lifecycle events
 //	    dropped, timestamps stripped, lines sorted); a single input

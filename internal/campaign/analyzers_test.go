@@ -163,23 +163,6 @@ func TestAnalyzerShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripsFindings pins the FragState leg: in-flight finding
-// state survives a checkpoint encode/decode cycle.
-func TestCheckpointRoundTripsFindings(t *testing.T) {
-	f := &fragment{findings: map[findingID]findingHit{
-		{analyzer: "atomicity", key: "block/b"}:    {desc: "d1", run: 7, count: 3},
-		{analyzer: "sc-robustness", key: "non-sc"}: {desc: "d2", run: 2, count: 1},
-	}}
-	st := fragState(f)
-	if len(st.Findings) != 2 || st.Findings[0].Analyzer != "atomicity" {
-		t.Fatalf("fragState findings = %+v, want 2 sorted entries", st.Findings)
-	}
-	back := st.fragment()
-	if !reflect.DeepEqual(back.findings, f.findings) {
-		t.Fatalf("findings did not round-trip: %+v vs %+v", back.findings, f.findings)
-	}
-}
-
 func mkFindingSummary(analyzers []string, findings ...FindingSummary) *Summary {
 	return &Summary{
 		Schema: SchemaName, SchemaVersion: SchemaVersion,

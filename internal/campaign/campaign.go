@@ -22,9 +22,12 @@
 // whole-cell grant, run chunk-by-chunk with convergence checks between
 // chunks. Either way each unit constructs a fresh tool instance from its
 // ToolSpec factory (tool instances are stateful and not goroutine-safe) and
-// runs its execution indices serially. Aggregation merges fragments with
-// order-independent operations only — sums, histogram unions, and
-// min-by-execution-index winners for race reproduction metadata.
+// runs its execution indices serially, folding them into a CellState.
+// Workers fold their units into one CellState per cell as they complete;
+// CellState.Merge is associative and commutative (sums, histogram unions,
+// and min-by-execution-index winners for reproduction metadata), so the fold
+// cannot depend on completion order, and a Summary is rendered from the
+// folded states in one place (render).
 package campaign
 
 import (
@@ -216,162 +219,74 @@ type job struct {
 	lo, hi int // execution indices [lo, hi)
 }
 
-// raceHit is a deduplicated race with the earliest execution that showed it.
-// It carries the report's rendered description rather than the
-// capi.RaceReport itself: tools recycle their race-report storage across
-// Execute calls, so retaining a report beyond runOne would alias mutated
-// memory. Rendering happens only on first sight (or an earlier-run upgrade),
-// never in the steady state.
-type raceHit struct {
-	desc string // RaceReport.String() of the winning sighting
-	run  int    // global execution index (seed = SeedBase+run)
+// cellJobs lists the matrix's cells in matrix order — tool-major,
+// benchmarks before litmus tests — as jobs with empty ranges. A cell's
+// position in this list is its index into the campaign's state slice.
+func (s Spec) cellJobs() []job {
+	var cells []job
+	for t := range s.Tools {
+		for b := range s.Benchmarks {
+			cells = append(cells, job{kind: jobBench, tool: t, cell: b})
+		}
+		for l := range s.Litmus {
+			cells = append(cells, job{kind: jobLitmus, tool: t, cell: l})
+		}
+	}
+	return cells
 }
 
-// execFailure is one execution the tool itself aborted (core.InfeasibleError
-// surfaced through capi.Result.EngineError, or an infeasible
-// modification-order lifting hit while validating/recording the execution).
-type execFailure struct {
-	run int // global execution index (seed = SeedBase+run)
-	err string
+// cellIndex is the matrix-order position of j's cell.
+func (s Spec) cellIndex(j job) int {
+	i := j.tool*(len(s.Benchmarks)+len(s.Litmus)) + j.cell
+	if j.kind == jobLitmus {
+		i += len(s.Benchmarks)
+	}
+	return i
 }
 
-// findingID identifies one deduplicated analyzer finding within a cell —
-// the analyzer's name plus the finding's key (analysis.Finding.Key).
-type findingID struct {
-	analyzer string
-	key      string
+func (s Spec) programName(j job) string {
+	if j.kind == jobLitmus {
+		return s.Litmus[j.cell].Name
+	}
+	return s.Benchmarks[j.cell].Name
 }
 
-// findingHit is a deduplicated analyzer finding: the description of the
-// earliest execution that showed it (the repro winner, like raceHit) plus
-// the number of executions that reproduced it.
-type findingHit struct {
-	desc  string
-	run   int // global execution index of the winner (seed = SeedBase+run)
-	count int
+// cells pairs the campaign's per-cell states (matrix order) with the static
+// identity render needs. budgets is nil under the uniform policy.
+func (s Spec) cells(states []CellState, budgets []*BudgetSummary) []Cell {
+	out := make([]Cell, len(states))
+	for i, j := range s.cellJobs() {
+		ts := s.Tools[j.tool]
+		c := &out[i]
+		c.Tool, c.ReproFlags = ts.Name, ts.ReproFlags
+		c.Program, c.Litmus = s.programName(j), j.kind == jobLitmus
+		if c.Litmus {
+			c.WeakDefined = len(s.Litmus[j.cell].Weak)
+		}
+		c.GuideTraces = len(s.Guides.For(ts.Name, c.Program))
+		if budgets != nil {
+			c.Budget = budgets[i]
+		}
+		c.State = states[i]
+	}
+	return out
 }
 
-// fragment is the result of one unit of work. Fields are aggregated with
-// order-independent merges only, which is what keeps the campaign
-// deterministic under any worker count.
-type fragment struct {
-	execs    int
-	detected int
-	ops      capi.OpStats
-	elapsed  time.Duration
-	races    map[string]raceHit // keyed by RaceReport.Key()
-	// litmus only:
-	outcomes  map[string]int
-	forbidden map[string]int // outcome → earliest global execution index
-	weak      map[string]int
-	// engine failures (see execFailure): failed counts them, failures
-	// samples the earliest few.
-	failed   int
-	failures []execFailure
-	// guided-exploration statistics (cells running under a PrefixGuide):
-	guidedExecs    int
-	prefixDepth    int64 // summed intended depths
-	prefixConsumed int64 // summed choices consumed before handoff
-	divergences    int   // executions whose prefix diverged
-	// trace/validation duties (Spec.RecordDir / Spec.ValidateAxioms):
-	checked    int
-	skipped    int
-	violations int
-	vioSamples []string
-	recorded   int
-	recordErrs int
-	// analyzer findings (Spec.Analyzers), deduplicated per (analyzer, key)
-	// with min-run winners; nil when no analyzer stage is composed.
-	findings map[findingID]findingHit
-	// flight-recorder captures (Spec.CaptureDir), in execution-index order
-	// within the unit.
+// fold is a campaign's result state: one CellState per matrix cell plus the
+// flight-recorder capture records. Workers fold their units in as they
+// complete; CellState.Merge is commutative and the capture manifest is
+// sorted on write, so completion order cannot change the result.
+type fold struct {
+	mu       sync.Mutex
+	states   []CellState
 	captures []obs.CaptureRecord
-	// allocation counters: global heap-allocation deltas observed around
-	// this unit. Under concurrent workers they include other units'
-	// allocations; they are exact at Workers=1 and a regression signal
-	// otherwise (like the wall-clock they sit next to).
-	allocBytes uint64
-	allocObjs  uint64
 }
 
-// maxViolationSamples caps the axiom-violation and engine-failure details
-// carried per fragment and per tool summary.
-const maxViolationSamples = 5
-
-// merge folds src into dst with the same order-independent operations (and
-// the same sample caps, applied in the same order) as cellAcc.merge, so a
-// checkpoint that collapses a cell's completed jobs into one fragment
-// aggregates byte-identically to the original job sequence. Callers merge in
-// job order — execution-index order within a cell — which keeps the capped
-// sample lists deterministic.
-func (dst *fragment) merge(src *fragment) {
-	dst.execs += src.execs
-	dst.detected += src.detected
-	dst.ops.Add(src.ops)
-	dst.elapsed += src.elapsed
-	if dst.races == nil {
-		dst.races = map[string]raceHit{}
-	}
-	mergeRaces(dst.races, src.races)
-	for out, n := range src.outcomes {
-		if dst.outcomes == nil {
-			dst.outcomes = map[string]int{}
-		}
-		dst.outcomes[out] += n
-	}
-	for out, first := range src.forbidden {
-		if dst.forbidden == nil {
-			dst.forbidden = map[string]int{}
-		}
-		if cur, seen := dst.forbidden[out]; !seen || first < cur {
-			dst.forbidden[out] = first
-		}
-	}
-	for out, n := range src.weak {
-		if dst.weak == nil {
-			dst.weak = map[string]int{}
-		}
-		dst.weak[out] += n
-	}
-	dst.failed += src.failed
-	for _, fl := range src.failures {
-		if len(dst.failures) >= maxViolationSamples {
-			break
-		}
-		dst.failures = append(dst.failures, fl)
-	}
-	dst.guidedExecs += src.guidedExecs
-	dst.prefixDepth += src.prefixDepth
-	dst.prefixConsumed += src.prefixConsumed
-	dst.divergences += src.divergences
-	dst.checked += src.checked
-	dst.skipped += src.skipped
-	dst.violations += src.violations
-	for _, s := range src.vioSamples {
-		if len(dst.vioSamples) >= maxViolationSamples {
-			break
-		}
-		dst.vioSamples = append(dst.vioSamples, s)
-	}
-	dst.recorded += src.recorded
-	dst.recordErrs += src.recordErrs
-	for id, hit := range src.findings {
-		if dst.findings == nil {
-			dst.findings = map[findingID]findingHit{}
-		}
-		if cur, seen := dst.findings[id]; seen {
-			if hit.run < cur.run {
-				cur.desc, cur.run = hit.desc, hit.run
-			}
-			cur.count += hit.count
-			dst.findings[id] = cur
-		} else {
-			dst.findings[id] = hit
-		}
-	}
-	dst.captures = append(dst.captures, src.captures...)
-	dst.allocBytes += src.allocBytes
-	dst.allocObjs += src.allocObjs
+func (f *fold) add(spec Spec, r *cellRunner) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.states[spec.cellIndex(r.j)].Merge(&r.st)
+	f.captures = append(f.captures, r.captures...)
 }
 
 // readAllocCounters reads the process-wide heap allocation counters (cheap,
@@ -410,21 +325,24 @@ func Run(spec Spec) *Summary {
 	start := time.Now()
 
 	ck := &ckState{path: spec.CheckpointPath, hook: spec.checkpointHook}
-	var jobs []job
-	var frags []fragment
-	var budgets map[cellKey]*BudgetSummary
+	f := &fold{states: make([]CellState, len(spec.cellJobs()))}
+	var budgets []*BudgetSummary
 	_, uniform := spec.Policy.(explore.Uniform)
 	switch {
 	case spec.Resume != nil && spec.Resume.Complete:
 		// The previous run finished its matrix and checkpointed Complete but
 		// died before (or while) writing the artifacts: rebuild them from the
 		// checkpoint without re-running anything.
-		jobs, frags, budgets = restoreComplete(spec, spec.Resume, !uniform)
+		plans := newPlans(spec)
+		restore(spec.Resume, f, plans)
+		if !uniform {
+			budgets = budgetsOf(spec, plans)
+		}
 	case uniform:
-		jobs, frags = runUniform(spec, tel)
-		ck.save(spec, tel, 1, true, nil, jobs, frags)
+		runUniform(spec, tel, f)
+		ck.save(spec, tel, 1, true, nil, f)
 	default:
-		jobs, frags, budgets = runAdaptive(spec, tel, ck)
+		budgets = runAdaptive(spec, tel, ck, f)
 	}
 
 	wall := time.Since(start)
@@ -436,18 +354,21 @@ func Run(spec Spec) *Summary {
 		NumGC:        ms1.NumGC - ms0.NumGC,
 		PauseTotalNS: ms1.PauseTotalNs - ms0.PauseTotalNs,
 	}
-	sum := aggregate(spec, jobs, frags, budgets, wall, gc)
+	cells := spec.cells(tel.observed(spec, f.states), budgets)
+	sum := render(specInfo(spec), cells)
+	sum.WallNS, sum.GC, sum.Provenance = int64(wall), gc, BuildProvenance()
 	sum.CheckpointErrors = ck.errs
 	if spec.Shard.Count > 1 {
 		sum.Shard = &ShardInfo{Index: spec.Shard.Index, Count: spec.Shard.Count,
 			SpecDigest: SpecDigest(spec)}
+		sum.Cells = cells
 	}
 	if spec.CaptureDir != "" {
 		// Write the canonical capture manifest (an empty one when nothing
 		// triggered — consumers rely on the file existing). The manifest is
 		// sorted by (tool, litmus, program, seed), so it is byte-identical
 		// for any worker count.
-		if err := captureManifest(frags).WriteFile(filepath.Join(spec.CaptureDir, obs.ManifestFileName)); err != nil {
+		if err := captureManifest(f.captures).WriteFile(filepath.Join(spec.CaptureDir, obs.ManifestFileName)); err != nil {
 			fmt.Fprintf(os.Stderr, "campaign: write capture manifest: %v\n", err)
 		}
 	}
@@ -470,9 +391,8 @@ func totalExecs(s *Summary) int {
 	return n
 }
 
-// runPool executes jobs[i] for every i via fn across the spec's worker pool.
-// Each worker writes only its own jobs' fragment slots, so the slice needs no
-// lock; the caller merges after the barrier, in job order.
+// runPool calls fn(i) for every i in [0, n) across the spec's worker pool.
+// fn runs concurrently; units fold their results through fold.add.
 func runPool(spec Spec, n int, fn func(i int)) {
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -505,45 +425,32 @@ func runPool(spec Spec, n int, fn func(i int)) {
 // sequence is dealt round-robin and only this shard's deal is run — the K
 // shard runs partition the exact job set of the unsharded run, which is what
 // makes the merged artifact byte-identical to it.
-func runUniform(spec Spec, tel *Telemetry) ([]job, []fragment) {
+func runUniform(spec Spec, tel *Telemetry, f *fold) {
 	var jobs []job
-	shard := func(kind jobKind, tool, cell int) {
+	for _, c := range spec.cellJobs() {
 		ord := 0
 		for lo := 0; lo < spec.Runs; lo += spec.ShardSize {
-			hi := lo + spec.ShardSize
-			if hi > spec.Runs {
-				hi = spec.Runs
-			}
+			hi := min(lo+spec.ShardSize, spec.Runs)
 			if spec.Shard.Count <= 1 || ord%spec.Shard.Count == spec.Shard.Index {
-				jobs = append(jobs, job{kind: kind, tool: tool, cell: cell, lo: lo, hi: hi})
+				jobs = append(jobs, job{kind: c.kind, tool: c.tool, cell: c.cell, lo: lo, hi: hi})
 			}
 			ord++
 		}
 	}
-	for t := range spec.Tools {
-		for b := range spec.Benchmarks {
-			shard(jobBench, t, b)
-		}
-		for l := range spec.Litmus {
-			shard(jobLitmus, t, l)
-		}
-	}
 	tel.waveStart(1, len(jobs))
-	frags := make([]fragment, len(jobs))
 	runPool(spec, len(jobs), func(i int) {
 		tel.unitStart(1, jobs[i], jobs[i].hi-jobs[i].lo)
 		r := newCellRunner(spec, jobs[i])
 		r.run(jobs[i].lo, jobs[i].hi, nil)
 		r.close()
-		frags[i] = r.frag
-		tel.unitDone(1, jobs[i], &frags[i])
+		tel.unitDone(1, jobs[i], &r.st, r.captures)
+		f.add(spec, r)
 	})
 	waveExecs := 0
-	for i := range frags {
-		waveExecs += frags[i].execs
+	for i := range f.states {
+		waveExecs += f.states[i].Execs
 	}
 	tel.waveEnd(1, len(jobs), waveExecs)
-	return jobs, frags
 }
 
 // cellPlan tracks one cell's budget state across adaptive waves.
@@ -556,6 +463,25 @@ type cellPlan struct {
 	stopped bool // converged: excluded from further grants
 }
 
+// newPlans builds one budget plan per cell, in matrix order.
+func newPlans(spec Spec) []*cellPlan {
+	var plans []*cellPlan
+	for _, c := range spec.cellJobs() {
+		plans = append(plans, &cellPlan{kind: c.kind, tool: c.tool, cell: c.cell, tracker: spec.Policy.NewTracker()})
+	}
+	return plans
+}
+
+// budgetsOf renders the plans' budget accounting, in matrix order.
+func budgetsOf(spec Spec, plans []*cellPlan) []*BudgetSummary {
+	budgets := make([]*BudgetSummary, len(plans))
+	for i, p := range plans {
+		budgets[i] = &BudgetSummary{Planned: spec.Runs, Used: p.used,
+			Extended: max(p.used-spec.Runs, 0), Converged: p.stopped}
+	}
+	return budgets
+}
+
 // runAdaptive is the adaptive-budget path. Wave 0 gives every cell its
 // initial budget of Runs executions, run chunk-by-chunk with a convergence
 // check between chunks; cells that converge stop early. The unspent budget
@@ -564,64 +490,48 @@ type cellPlan struct {
 // or every cell converged. The total never exceeds Runs × cells, and every
 // decision happens at a barrier from per-cell-deterministic state, so the
 // result is independent of the worker count.
-func runAdaptive(spec Spec, tel *Telemetry, ck *ckState) ([]job, []fragment, map[cellKey]*BudgetSummary) {
+func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, f *fold) []*BudgetSummary {
 	chunk := spec.Policy.Chunk()
 	if chunk <= 0 || chunk > spec.Runs {
 		chunk = spec.Runs
 	}
+	plans := newPlans(spec)
 
-	var plans []*cellPlan
-	for t := range spec.Tools {
-		for b := range spec.Benchmarks {
-			plans = append(plans, &cellPlan{kind: jobBench, tool: t, cell: b, tracker: spec.Policy.NewTracker()})
-		}
-		for l := range spec.Litmus {
-			plans = append(plans, &cellPlan{kind: jobLitmus, tool: t, cell: l, tracker: spec.Policy.NewTracker()})
-		}
-	}
-
-	var jobs []job
-	var frags []fragment
 	type grant struct {
 		plan   *cellPlan
 		budget int
 	}
-	// runWave executes one grant per selected plan across the worker pool
-	// and folds the results into jobs/frags in plan order. Each wave emits
-	// its barrier events: unit events from the workers as grants complete,
+	// runWave executes one grant per selected plan across the worker pool,
+	// folding each unit into its cell's state. Each wave emits its barrier
+	// events: unit events from the workers as grants complete,
 	// cell_converged and wave_end from the deterministic post-barrier state.
 	wave := 0
 	if spec.Resume != nil {
 		// Re-enter at the last completed wave: plans get their used/stopped
-		// budgets and tracker state back, and the completed work re-enters the
-		// job list as one synthetic whole-range job per cell carrying the
-		// checkpointed merged fragment. aggregate folds both shapes
-		// identically, so the finished artifact cannot tell the difference.
+		// budgets and tracker state back, and the cells their folded state.
 		wave = spec.Resume.Wave
-		restoreAdaptive(spec, spec.Resume, plans, &jobs, &frags)
+		restore(spec.Resume, f, plans)
 	}
 	runWave := func(grants []grant) {
 		wave++
 		tel.waveStart(wave, len(grants))
 		waveJobs := make([]job, len(grants))
-		waveFrags := make([]fragment, len(grants))
-		used := make([]int, len(grants))
 		for i, g := range grants {
 			waveJobs[i] = job{kind: g.plan.kind, tool: g.plan.tool, cell: g.plan.cell, lo: g.plan.used}
 		}
 		runPool(spec, len(grants), func(i int) {
 			tel.unitStart(wave, waveJobs[i], grants[i].budget)
 			r := newCellRunner(spec, waveJobs[i])
-			used[i] = r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, grants[i].plan.tracker)
+			used := r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, grants[i].plan.tracker)
 			r.close()
-			waveFrags[i] = r.frag
-			waveJobs[i].hi = waveJobs[i].lo + used[i]
-			tel.unitDone(wave, waveJobs[i], &waveFrags[i])
+			waveJobs[i].hi = waveJobs[i].lo + used
+			tel.unitDone(wave, waveJobs[i], &r.st, r.captures)
+			f.add(spec, r)
 		})
 		waveExecs := 0
 		for i, g := range grants {
-			waveJobs[i].hi = waveJobs[i].lo + used[i]
-			g.plan.used += used[i]
+			used := waveJobs[i].hi - waveJobs[i].lo
+			g.plan.used += used
 			wasStopped := g.plan.stopped
 			g.plan.stopped = g.plan.tracker.Converged()
 			// Convergence introspection happens here — at the barrier, from
@@ -631,14 +541,12 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState) ([]job, []fragment, map
 			if g.plan.stopped && !wasStopped {
 				tel.cellConverged(wave, waveJobs[i], g.plan.used)
 			}
-			jobs = append(jobs, waveJobs[i])
-			frags = append(frags, waveFrags[i])
-			waveExecs += waveFrags[i].execs
+			waveExecs += used
 		}
 		tel.waveEnd(wave, len(grants), waveExecs)
 		// The wave barrier is the checkpoint point: every decision below this
 		// line is a pure function of the state being persisted.
-		ck.save(spec, tel, wave, false, plans, jobs, frags)
+		ck.save(spec, tel, wave, false, plans, f)
 	}
 
 	if spec.Resume == nil {
@@ -663,10 +571,7 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState) ([]job, []fragment, map
 			if p.stopped || pool <= 0 {
 				continue
 			}
-			g := chunk
-			if g > pool {
-				g = pool
-			}
+			g := min(chunk, pool)
 			pool -= g
 			grants = append(grants, grant{plan: p, budget: g})
 		}
@@ -683,22 +588,8 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState) ([]job, []fragment, map
 		}
 	}
 
-	ck.save(spec, tel, wave, true, plans, jobs, frags)
-
-	budgets := map[cellKey]*BudgetSummary{}
-	for _, p := range plans {
-		extended := p.used - spec.Runs
-		if extended < 0 {
-			extended = 0
-		}
-		budgets[cellKey{kind: p.kind, tool: p.tool, cell: p.cell}] = &BudgetSummary{
-			Planned:   spec.Runs,
-			Used:      p.used,
-			Extended:  extended,
-			Converged: p.stopped,
-		}
-	}
-	return jobs, frags, budgets
+	ck.save(spec, tel, wave, true, plans, f)
+	return budgetsOf(spec, plans)
 }
 
 // execCtx is the per-execution state threaded through the pipeline stages.
@@ -732,12 +623,15 @@ type cellAnalyzer struct {
 }
 
 // cellRunner executes a range of one cell's executions with a fresh tool
-// instance, folding results into its fragment.
+// instance, folding results into its state.
 type cellRunner struct {
 	spec Spec
 	j    job
 	tool capi.Tool
-	frag fragment
+	st   CellState
+	// captures are the unit's flight-recorder capture records, in
+	// execution-index order.
+	captures []obs.CaptureRecord
 
 	// stages is the cell's composed pipeline, run in order after every
 	// completed execution: the cell-kind signal stage (benchmark detection
@@ -777,7 +671,7 @@ type cellRunner struct {
 }
 
 func newCellRunner(spec Spec, j job) *cellRunner {
-	r := &cellRunner{spec: spec, j: j, frag: fragment{races: map[string]raceHit{}}}
+	r := &cellRunner{spec: spec, j: j}
 	r.tool = spec.Tools[j.tool].New()
 	switch j.kind {
 	case jobBench:
@@ -786,9 +680,6 @@ func newCellRunner(spec Spec, j job) *cellRunner {
 	case jobLitmus:
 		r.test = spec.Litmus[j.cell]
 		r.prog = r.test.Make(&r.out)
-		r.frag.outcomes = map[string]int{}
-		r.frag.forbidden = map[string]int{}
-		r.frag.weak = map[string]int{}
 	}
 
 	r.eng, _ = r.tool.(*core.Engine)
@@ -872,9 +763,7 @@ func newCellRunner(spec Spec, j job) *cellRunner {
 	// signal first (it computes hit, the trace-owed flag), then validation
 	// (it decides abort), then analyzers, then recording. With the default
 	// spec — no analyzers, no duties — the pipeline is just the signal
-	// stage, and the composed path mutates the fragment in exactly the
-	// order the pre-pipeline runner did, which is what keeps default
-	// campaign artifacts byte-identical across the refactor.
+	// stage.
 	if j.kind == jobLitmus {
 		r.stages = append(r.stages, (*cellRunner).stageLitmus)
 	} else {
@@ -892,12 +781,7 @@ func newCellRunner(spec Spec, j job) *cellRunner {
 	return r
 }
 
-func (r *cellRunner) programName() string {
-	if r.test != nil {
-		return r.test.Name
-	}
-	return r.bench.Name
-}
+func (r *cellRunner) programName() string { return r.spec.programName(r.j) }
 
 // closeTool releases a tool instance: engines retire their fiber-pool
 // workers (core.Engine.Close), so long-lived processes do not accumulate
@@ -912,16 +796,14 @@ func closeTool(t capi.Tool) {
 // close releases the runner's tool instance once its unit of work is done.
 func (r *cellRunner) close() { closeTool(r.tool) }
 
-// recordFailure folds one aborted execution into the fragment.
+// recordFailure folds one aborted execution into the state.
 func (r *cellRunner) recordFailure(i int, err string) {
-	r.frag.failed++
-	if len(r.frag.failures) < maxViolationSamples {
-		r.frag.failures = append(r.frag.failures, execFailure{run: i, err: err})
-	}
+	r.st.Failed++
+	r.st.Failures = addSample(r.st.Failures, Sample{Run: i, Text: err})
 }
 
 // run executes global execution indices [lo, hi) serially, folding results
-// into the fragment. observe, when non-nil, receives each execution's
+// into the state. observe, when non-nil, receives each execution's
 // observation in index order (the budget-policy feed).
 func (r *cellRunner) run(lo, hi int, observe func(explore.Obs)) {
 	a0bytes, a0objs := readAllocCounters()
@@ -932,10 +814,10 @@ func (r *cellRunner) run(lo, hi int, observe func(explore.Obs)) {
 			observe(obs)
 		}
 	}
-	r.frag.elapsed += time.Since(start)
+	r.st.ElapsedNS += int64(time.Since(start))
 	a1bytes, a1objs := readAllocCounters()
-	r.frag.allocBytes += a1bytes - a0bytes
-	r.frag.allocObjs += a1objs - a0objs
+	r.st.AllocBytes += a1bytes - a0bytes
+	r.st.AllocObjs += a1objs - a0objs
 }
 
 // runChunked executes up to budget executions starting at global index lo,
@@ -984,7 +866,7 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 		r.flightFail(i)
 		return explore.Obs{}
 	}
-	r.frag.execs++
+	r.st.Execs++
 	if r.met != nil {
 		r.met.ObserveExec(execDur, r.eng)
 		if len(res.NewRaces) > 0 {
@@ -993,11 +875,11 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	}
 	if r.pg != nil {
 		depth, consumed, diverged := r.pg.Handoff()
-		r.frag.guidedExecs++
-		r.frag.prefixDepth += int64(depth)
-		r.frag.prefixConsumed += int64(consumed)
+		r.st.GuidedExecs++
+		r.st.PrefixDepth += int64(depth)
+		r.st.PrefixConsumed += int64(consumed)
 		if diverged {
-			r.frag.divergences++
+			r.st.Divergences++
 		}
 	}
 
@@ -1022,10 +904,10 @@ func (r *cellRunner) stageBench() {
 	res, i := r.x.res, r.x.i
 	hit := r.bench.Signal.Hit(res)
 	if hit {
-		r.frag.detected++
+		r.st.Detected++
 	}
-	r.frag.ops.Add(res.Stats)
-	recordRaces(&r.frag, res, i)
+	r.addOps(res)
+	recordRaces(&r.st, res, i)
 	r.x.hit = hit || len(res.Races) > 0
 	r.x.obs.Detected = hit
 }
@@ -1034,21 +916,24 @@ func (r *cellRunner) stageBench() {
 // forbidden/weak verdicts, and race dedup.
 func (r *cellRunner) stageLitmus() {
 	res, i := r.x.res, r.x.i
-	r.frag.ops.Add(res.Stats)
+	r.addOps(res)
 	// Litmus programs only touch shared state atomically, so any race
 	// here is a detector soundness bug, not a finding.
-	recordRaces(&r.frag, res, i)
+	recordRaces(&r.st, res, i)
 	forbidden := false
 	if r.out != "" {
-		r.frag.outcomes[r.out]++
+		r.st.Outcomes = bump(r.st.Outcomes, r.out)
 		if isForbidden(r.test, r.out, r.spec.Tools[r.j.tool].Baseline) {
 			forbidden = true
-			if first, seen := r.frag.forbidden[r.out]; !seen || i < first {
-				r.frag.forbidden[r.out] = i
+			if first, seen := r.st.Forbidden[r.out]; !seen || i < first {
+				if r.st.Forbidden == nil {
+					r.st.Forbidden = map[string]int{}
+				}
+				r.st.Forbidden[r.out] = i
 			}
 		}
 		if r.test.Weak[r.out] {
-			r.frag.weak[r.out]++
+			r.st.Weak = bump(r.st.Weak, r.out)
 		}
 	}
 	r.x.outcome = r.out
@@ -1064,11 +949,11 @@ func (r *cellRunner) stageLitmus() {
 // recording) to skip this execution.
 func (r *cellRunner) stageValidate() {
 	if r.mo == nil {
-		r.frag.skipped++
+		r.st.Skipped++
 		return
 	}
 	i := r.x.i
-	r.frag.checked++
+	r.st.Checked++
 	var vs []axiom.Violation
 	// The engine cannot see the campaign's validation duty, so the
 	// campaign brackets the PhaseValidate span itself, feeding the same
@@ -1084,22 +969,20 @@ func (r *cellRunner) stageValidate() {
 		// The record stage would hit the same infeasible lifting; if this
 		// execution's trace was owed, count it as dropped.
 		if r.rec != nil && (r.x.hit || r.spec.RecordAll) {
-			r.frag.recordErrs++
+			r.st.RecordErrs++
 		}
 		return
 	}
 	if len(vs) > 0 {
-		r.frag.violations += len(vs)
-		if len(r.frag.vioSamples) < maxViolationSamples {
-			r.frag.vioSamples = append(r.frag.vioSamples,
-				fmt.Sprintf("%s/%s seed %d: %v", r.tool.Name(), r.programName(),
-					r.spec.SeedBase+int64(i), vs[0]))
+		r.st.Violations += len(vs)
+		if len(r.st.VioSamples) < maxViolationSamples {
+			r.st.VioSamples = addSample(r.st.VioSamples, Sample{Run: i, Text: fmt.Sprint(vs[0])})
 		}
 	}
 }
 
 // stageAnalyze hands the finished execution to the cell's analyzer
-// instances and folds their findings into the fragment. Each Observe is
+// instances and folds their findings into the state. Each Observe is
 // individually recovered: an infeasible lifting inside one analyzer records
 // a failure and moves on to the next.
 func (r *cellRunner) stageAnalyze() {
@@ -1127,22 +1010,26 @@ func (r *cellRunner) stageAnalyze() {
 	}
 }
 
-// addFinding folds one analyzer finding into the fragment — min-run winner
+// addFinding folds one analyzer finding into the state — min-run winner
 // per (analyzer, key), counts summed — and bumps the analyzer's pre-bound
 // findings counter.
 func (r *cellRunner) addFinding(ca cellAnalyzer, f analysis.Finding) {
-	if r.frag.findings == nil {
-		r.frag.findings = map[findingID]findingHit{}
+	if r.st.Findings == nil {
+		r.st.Findings = map[string]map[string]Hit{}
 	}
-	id := findingID{analyzer: ca.Name(), key: f.Key}
-	hit, seen := r.frag.findings[id]
+	hits := r.st.Findings[ca.Name()]
+	if hits == nil {
+		hits = map[string]Hit{}
+		r.st.Findings[ca.Name()] = hits
+	}
+	hit, seen := hits[f.Key]
 	if !seen {
-		hit = findingHit{desc: f.Desc, run: r.x.i}
-	} else if r.x.i < hit.run {
-		hit.desc, hit.run = f.Desc, r.x.i
+		hit = Hit{Desc: f.Desc, Run: r.x.i}
+	} else if r.x.i < hit.Run {
+		hit.Desc, hit.Run = f.Desc, r.x.i
 	}
-	hit.count++
-	r.frag.findings[id] = hit
+	hit.Count++
+	hits[f.Key] = hit
 	if r.met != nil && ca.ix < len(r.met.Findings) {
 		r.met.Findings[ca.ix].Inc()
 	}
@@ -1172,7 +1059,7 @@ func (r *cellRunner) stageRecord() {
 	if ie != nil {
 		r.observePhase(core.PhaseRecord, rt0)
 		r.recordFailure(i, ie.Error())
-		r.frag.recordErrs++
+		r.st.RecordErrs++
 		r.x.abort = true
 		return
 	}
@@ -1182,11 +1069,11 @@ func (r *cellRunner) stageRecord() {
 	}
 	r.observePhase(core.PhaseRecord, rt0)
 	if err == nil {
-		r.frag.recorded++
+		r.st.Recorded++
 	} else {
 		// Counted and surfaced in the summary: a campaign asked to
 		// persist traces must not drop them silently.
-		r.frag.recordErrs++
+		r.st.RecordErrs++
 	}
 }
 
@@ -1214,15 +1101,25 @@ func raceKeysOf(res *capi.Result) []string {
 	return keys
 }
 
-// recordRaces folds an execution's races into the fragment, keeping the
-// earliest execution index per race key.
-func recordRaces(frag *fragment, res *capi.Result, run int) {
+// recordRaces folds an execution's races into the state, keeping the
+// earliest execution index per race key (within one execution, the first
+// report of a key).
+func recordRaces(st *CellState, res *capi.Result, run int) {
 	for _, r := range res.Races {
 		key := r.Key()
-		if hit, seen := frag.races[key]; !seen || run < hit.run {
-			frag.races[key] = raceHit{desc: r.String(), run: run}
+		if hit, seen := st.Races[key]; !seen || run < hit.Run {
+			if st.Races == nil {
+				st.Races = map[string]Hit{}
+			}
+			st.Races[key] = Hit{Desc: r.String(), Run: run}
 		}
 	}
+}
+
+// addOps folds an execution's operation counts into the state.
+func (r *cellRunner) addOps(res *capi.Result) {
+	r.st.AtomicOps += res.Stats.AtomicOps
+	r.st.NormalOps += res.Stats.NormalOps
 }
 
 // isForbidden reports whether outcome is forbidden for the given tool
@@ -1233,15 +1130,6 @@ func isForbidden(t *litmus.Test, outcome string, baseline bool) bool {
 		return true
 	}
 	return baseline && t.BaselineForbidden[outcome]
-}
-
-// mergeRaces folds src into dst, keeping the earliest run per key.
-func mergeRaces(dst map[string]raceHit, src map[string]raceHit) {
-	for key, hit := range src {
-		if cur, seen := dst[key]; !seen || hit.run < cur.run {
-			dst[key] = hit
-		}
-	}
 }
 
 // Validate reports the first problem with the spec, or nil.

@@ -61,7 +61,7 @@ func (r *cellRunner) flightFail(i int) {
 }
 
 // capture records one granted trigger: it re-runs the seed for a portable
-// trace (captureTrace) and appends the manifest entry to the fragment.
+// trace (captureTrace) and appends the manifest entry to the unit's records.
 func (r *cellRunner) capture(trig obs.Trigger, d obs.ExecDigest, raceKeys []string, outcome string) {
 	spec := r.spec
 	toolSpec := spec.Tools[r.j.tool]
@@ -86,10 +86,12 @@ func (r *cellRunner) capture(trig obs.Trigger, d obs.ExecDigest, raceKeys []stri
 	file, err := captureTrace(spec, r.j, seed)
 	if err != nil {
 		rec.Err = err.Error()
+		r.st.CaptureErrs++
 	} else {
 		rec.File = file
 	}
-	r.frag.captures = append(r.frag.captures, rec)
+	r.st.Captures++
+	r.captures = append(r.captures, rec)
 }
 
 // captureTrace re-runs one seed with a trace recorder attached and writes the
@@ -150,14 +152,11 @@ func captureTrace(spec Spec, j job, seed int64) (string, error) {
 	return name, nil
 }
 
-// captureManifest folds every fragment's capture records into the canonical
+// captureManifest sorts a campaign's capture records into the canonical
 // manifest Run writes to CaptureDir.
-func captureManifest(frags []fragment) *obs.Manifest {
+func captureManifest(captures []obs.CaptureRecord) *obs.Manifest {
 	m := obs.NewManifest()
-	m.Captures = []obs.CaptureRecord{}
-	for i := range frags {
-		m.Captures = append(m.Captures, frags[i].captures...)
-	}
+	m.Captures = append([]obs.CaptureRecord{}, captures...)
 	m.Sort()
 	return m
 }

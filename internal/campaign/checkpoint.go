@@ -6,11 +6,11 @@
 // a pure function of (tool, program, seed) and that all budget decisions
 // happen at deterministic wave barriers. A checkpoint therefore only has to
 // persist barrier state — per-cell budgets, converge-tracker state, and one
-// merged result fragment per cell — and a resumed run re-enters the wave loop
-// as if the completed waves had just run: the synthetic whole-range job per
-// cell folds into the aggregate exactly like the original job sequence, so
-// the finished artifact is byte-identical (Summary.Canonical) to an
-// uninterrupted run.
+// folded CellState per cell — and a resumed run re-enters the wave loop as if
+// the completed waves had just run: CellState.Merge is associative, so
+// folding the remaining units into the restored states yields the state an
+// uninterrupted run folds, and the finished artifact is byte-identical
+// (Summary.Canonical).
 package campaign
 
 import (
@@ -18,10 +18,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"c11tester/internal/explore"
 	"c11tester/internal/obs"
@@ -136,10 +134,12 @@ func SpecDigest(spec Spec) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
-// Schema identifiers of the serialized checkpoint.
+// Schema identifiers of the serialized checkpoint. v2: cells carry their
+// folded CellState (the shard-partial payload) and the barrier's capture
+// records travel with the checkpoint.
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 1
+	CheckpointSchemaVersion = 2
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -159,244 +159,76 @@ type Checkpoint struct {
 	// anything).
 	Wave     int  `json:"wave"`
 	Complete bool `json:"complete,omitempty"`
-	// Event/capture cursors: accounting of the append-only artifacts at the
+	// Event cursors: accounting of the append-only event stream at the
 	// barrier, for introspection and post-crash audit.
 	EventsEmitted uint64 `json:"events_emitted,omitempty"`
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	Captures      int    `json:"captures,omitempty"`
-	// Cells holds one entry per campaign cell, in matrix order.
+	// Captures are the flight-recorder capture records at the barrier, in
+	// manifest order; a resumed run's manifest starts from them.
+	Captures []obs.CaptureRecord `json:"captures,omitempty"`
+	// Cells holds one entry per campaign cell, in matrix order (tool-major,
+	// benchmarks before litmus tests).
 	Cells []CellCheckpoint `json:"cells"`
 }
 
 // CellCheckpoint is one cell's barrier state: its budget accounting, its
-// converge-tracker snapshot (adaptive policies), and its merged result
-// fragment.
+// converge-tracker snapshot (adaptive policies), and its folded state.
 type CellCheckpoint struct {
-	Kind    string `json:"kind"` // "bench" or "litmus"
-	Tool    int    `json:"tool"`
-	Cell    int    `json:"cell"`
-	ToolRef string `json:"tool_name"`
+	Tool    string `json:"tool"`
 	Program string `json:"program"`
 	Used    int    `json:"used"`
 	Stopped bool   `json:"stopped,omitempty"`
 
 	Tracker *explore.TrackerSnapshot `json:"tracker,omitempty"`
-	Frag    FragState                `json:"frag"`
+	State   CellState                `json:"state"`
 }
 
-// RaceState is one deduplicated race of a checkpointed fragment.
-type RaceState struct {
-	Key  string `json:"key"`
-	Desc string `json:"desc"`
-	Run  int    `json:"run"`
-}
-
-// FailureState is one sampled engine failure of a checkpointed fragment.
-type FailureState struct {
-	Run int    `json:"run"`
-	Err string `json:"err"`
-}
-
-// FindingState is one deduplicated analyzer finding of a checkpointed
-// fragment (schema v7 campaigns).
-type FindingState struct {
-	Analyzer string `json:"analyzer"`
-	Key      string `json:"key"`
-	Desc     string `json:"desc"`
-	Run      int    `json:"run"`
-	Count    int    `json:"count"`
-}
-
-// FragState is the serialized form of a cell's merged result fragment —
-// field-for-field the unexported fragment type, with races flattened to a
-// key-sorted list so the encoding is canonical.
-type FragState struct {
-	Execs          int                 `json:"execs"`
-	Detected       int                 `json:"detected,omitempty"`
-	AtomicOps      uint64              `json:"atomic_ops,omitempty"`
-	NormalOps      uint64              `json:"normal_ops,omitempty"`
-	ElapsedNS      int64               `json:"elapsed_ns,omitempty"`
-	Races          []RaceState         `json:"races,omitempty"`
-	Outcomes       map[string]int      `json:"outcomes,omitempty"`
-	Forbidden      map[string]int      `json:"forbidden,omitempty"`
-	Weak           map[string]int      `json:"weak,omitempty"`
-	Failed         int                 `json:"failed,omitempty"`
-	Failures       []FailureState      `json:"failures,omitempty"`
-	GuidedExecs    int                 `json:"guided_execs,omitempty"`
-	PrefixDepth    int64               `json:"prefix_depth,omitempty"`
-	PrefixConsumed int64               `json:"prefix_consumed,omitempty"`
-	Divergences    int                 `json:"divergences,omitempty"`
-	Checked        int                 `json:"checked,omitempty"`
-	Skipped        int                 `json:"skipped,omitempty"`
-	Violations     int                 `json:"violations,omitempty"`
-	VioSamples     []string            `json:"vio_samples,omitempty"`
-	Recorded       int                 `json:"recorded,omitempty"`
-	RecordErrs     int                 `json:"record_errs,omitempty"`
-	Captures       []obs.CaptureRecord `json:"captures,omitempty"`
-	AllocBytes     uint64              `json:"alloc_bytes,omitempty"`
-	AllocObjs      uint64              `json:"alloc_objs,omitempty"`
-	Findings       []FindingState      `json:"findings,omitempty"`
-}
-
-// fragState serializes a merged fragment.
-func fragState(f *fragment) FragState {
-	s := FragState{
-		Execs: f.execs, Detected: f.detected,
-		AtomicOps: f.ops.AtomicOps, NormalOps: f.ops.NormalOps,
-		ElapsedNS: int64(f.elapsed),
-		Outcomes:  f.outcomes, Forbidden: f.forbidden, Weak: f.weak,
-		Failed:      f.failed,
-		GuidedExecs: f.guidedExecs, PrefixDepth: f.prefixDepth,
-		PrefixConsumed: f.prefixConsumed, Divergences: f.divergences,
-		Checked: f.checked, Skipped: f.skipped, Violations: f.violations,
-		VioSamples: f.vioSamples,
-		Recorded:   f.recorded, RecordErrs: f.recordErrs,
-		Captures:   f.captures,
-		AllocBytes: f.allocBytes, AllocObjs: f.allocObjs,
-	}
-	for _, key := range sortedStringKeys(f.races) {
-		hit := f.races[key]
-		s.Races = append(s.Races, RaceState{Key: key, Desc: hit.desc, Run: hit.run})
-	}
-	for _, fl := range f.failures {
-		s.Failures = append(s.Failures, FailureState{Run: fl.run, Err: fl.err})
-	}
-	for _, id := range sortedFindingIDs(f.findings) {
-		hit := f.findings[id]
-		s.Findings = append(s.Findings, FindingState{Analyzer: id.analyzer,
-			Key: id.key, Desc: hit.desc, Run: hit.run, Count: hit.count})
-	}
-	return s
-}
-
-// fragment rebuilds the in-memory fragment a FragState serialized.
-func (s *FragState) fragment() fragment {
-	f := fragment{
-		execs: s.Execs, detected: s.Detected,
-		elapsed:  time.Duration(s.ElapsedNS),
-		races:    map[string]raceHit{},
-		outcomes: s.Outcomes, forbidden: s.Forbidden, weak: s.Weak,
-		failed:      s.Failed,
-		guidedExecs: s.GuidedExecs, prefixDepth: s.PrefixDepth,
-		prefixConsumed: s.PrefixConsumed, divergences: s.Divergences,
-		checked: s.Checked, skipped: s.Skipped, violations: s.Violations,
-		vioSamples: s.VioSamples,
-		recorded:   s.Recorded, recordErrs: s.RecordErrs,
-		captures:   s.Captures,
-		allocBytes: s.AllocBytes, allocObjs: s.AllocObjs,
-	}
-	f.ops.AtomicOps = s.AtomicOps
-	f.ops.NormalOps = s.NormalOps
-	for _, r := range s.Races {
-		f.races[r.Key] = raceHit{desc: r.Desc, run: r.Run}
-	}
-	for _, fl := range s.Failures {
-		f.failures = append(f.failures, execFailure{run: fl.Run, err: fl.Err})
-	}
-	for _, fd := range s.Findings {
-		if f.findings == nil {
-			f.findings = map[findingID]findingHit{}
-		}
-		f.findings[findingID{analyzer: fd.Analyzer, key: fd.Key}] =
-			findingHit{desc: fd.Desc, run: fd.Run, count: fd.Count}
-	}
-	return f
-}
-
-func sortedStringKeys(m map[string]raceHit) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-const (
-	cellKindBench  = "bench"
-	cellKindLitmus = "litmus"
-)
-
-func kindName(k jobKind) string {
-	if k == jobLitmus {
-		return cellKindLitmus
-	}
-	return cellKindBench
-}
-
-func kindOf(name string) jobKind {
-	if name == cellKindLitmus {
-		return jobLitmus
-	}
-	return jobBench
-}
-
-// buildCheckpoint folds the completed work into one CellCheckpoint per cell,
-// in matrix order, merging each cell's job fragments in job order (execution-
-// index order within a cell) so the capped sample lists stay deterministic.
-// plans supplies budget/tracker state under an adaptive policy; nil (uniform)
-// derives the cell list from the jobs.
-func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment) *Checkpoint {
+// buildCheckpoint snapshots the barrier state: one CellCheckpoint per cell,
+// in matrix order. plans supplies budget/tracker state under an adaptive
+// policy; nil (uniform) means every cell ran its whole budget.
+func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, f *fold) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
 		SpecDigest: SpecDigest(spec), Spec: specInfo(spec),
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
 		EventsEmitted: tel.EventsEmitted(), EventsDropped: tel.EventsDropped(),
-		Cells: []CellCheckpoint{},
+		Captures: captureManifest(f.captures).Captures,
+		Cells:    []CellCheckpoint{},
 	}
-	merged := map[cellKey]*fragment{}
-	hi := map[cellKey]int{}
-	var order []cellKey
-	if plans != nil {
-		for _, p := range plans {
-			order = append(order, cellKey{kind: p.kind, tool: p.tool, cell: p.cell})
-		}
-	}
-	for i := range jobs {
-		key := cellKey{kind: jobs[i].kind, tool: jobs[i].tool, cell: jobs[i].cell}
-		f := merged[key]
-		if f == nil {
-			f = &fragment{}
-			merged[key] = f
-			if plans == nil {
-				order = append(order, key)
-			}
-		}
-		f.merge(&frags[i])
-		if jobs[i].hi > hi[key] {
-			hi[key] = jobs[i].hi
-		}
-	}
-	planOf := map[cellKey]*cellPlan{}
-	for _, p := range plans {
-		planOf[cellKey{kind: p.kind, tool: p.tool, cell: p.cell}] = p
-	}
-	for _, key := range order {
-		cc := CellCheckpoint{
-			Kind: kindName(key.kind), Tool: key.tool, Cell: key.cell,
-			ToolRef: spec.Tools[key.tool].Name,
-			Used:    hi[key],
-		}
-		if key.kind == jobLitmus {
-			cc.Program = spec.Litmus[key.cell].Name
-		} else {
-			cc.Program = spec.Benchmarks[key.cell].Name
-		}
-		if p := planOf[key]; p != nil {
-			cc.Used = p.used
-			cc.Stopped = p.stopped
-			if s, ok := p.tracker.(explore.Snapshotter); ok {
+	states := tel.observed(spec, f.states)
+	for i, j := range spec.cellJobs() {
+		cc := CellCheckpoint{Tool: spec.Tools[j.tool].Name, Program: spec.programName(j),
+			Used: spec.Runs, State: states[i]}
+		if plans != nil {
+			cc.Used, cc.Stopped = plans[i].used, plans[i].stopped
+			if s, ok := plans[i].tracker.(explore.Snapshotter); ok {
 				cc.Tracker = s.Snapshot()
 			}
-		}
-		if f := merged[key]; f != nil {
-			cc.Frag = fragState(f)
-			c.Captures += len(f.captures)
 		}
 		c.Cells = append(c.Cells, cc)
 	}
 	return c
+}
+
+// restore folds a checkpoint's barrier state into a fresh run — the cells'
+// states and capture records into f, budgets and tracker state into plans —
+// leaving the checkpoint itself unmodified.
+func restore(c *Checkpoint, f *fold, plans []*cellPlan) {
+	for i := range c.Cells {
+		if i == len(f.states) {
+			// Unreachable behind ValidateAgainst (it pins the matrix);
+			// stopping beats indexing out of range.
+			break
+		}
+		cc := &c.Cells[i]
+		f.states[i].Merge(&cc.State)
+		plans[i].used, plans[i].stopped = cc.Used, cc.Stopped
+		if s, ok := plans[i].tracker.(explore.Snapshotter); ok {
+			s.Restore(cc.Tracker)
+		}
+	}
+	f.captures = append(f.captures, c.Captures...)
 }
 
 // ckState carries the checkpoint duty through the runner: the target path
@@ -409,14 +241,14 @@ type ckState struct {
 	errs int
 }
 
-func (ck *ckState) save(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment) {
+func (ck *ckState) save(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, f *fold) {
 	if ck.path == "" {
 		return
 	}
 	// The checkpoint's event cursor must not run ahead of the durable stream:
 	// flush queued event lines before persisting the barrier state.
 	tel.syncEvents()
-	c := buildCheckpoint(spec, tel, wave, complete, plans, jobs, frags)
+	c := buildCheckpoint(spec, tel, wave, complete, plans, f)
 	if ck.hook != nil {
 		ck.hook(c)
 	}
@@ -436,15 +268,16 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if c.Schema != CheckpointSchemaName {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, c.Schema, CheckpointSchemaName)
 	}
-	if c.SchemaVersion < 1 || c.SchemaVersion > CheckpointSchemaVersion {
-		return nil, fmt.Errorf("campaign: %s: unsupported checkpoint schema version %d", path, c.SchemaVersion)
+	if c.SchemaVersion != CheckpointSchemaVersion {
+		return nil, fmt.Errorf("campaign: %s: checkpoint schema version %d; resuming needs exactly %d (start the campaign over)", path, c.SchemaVersion, CheckpointSchemaVersion)
 	}
 	return &c, nil
 }
 
 // ValidateAgainst reports why the checkpoint cannot resume the given spec:
-// a spec-digest mismatch (different execution set or duties) or build
-// provenance skew (a different toolchain cannot promise identical replay).
+// a spec-digest mismatch (different execution set or duties), build
+// provenance skew (a different toolchain cannot promise identical replay),
+// or a cell list that does not match the spec's matrix (a corrupt file).
 func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 	if d := SpecDigest(spec); c.SpecDigest != d {
 		return fmt.Errorf("campaign: checkpoint was cut from a different campaign spec (digest %.12s… vs %.12s…): resuming would mix incompatible runs — point -checkpoint at a fresh path to start over", c.SpecDigest, d)
@@ -452,65 +285,17 @@ func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 	if skew := BuildProvenance().Skew(c.Provenance); len(skew) > 0 {
 		return fmt.Errorf("campaign: checkpoint build provenance skew (%s): a different build cannot promise byte-identical resume — re-run the campaign from scratch", strings.Join(skew, "; "))
 	}
+	cells := spec.cellJobs()
+	if len(c.Cells) != len(cells) {
+		return fmt.Errorf("campaign: checkpoint holds %d cell(s), the spec's matrix has %d", len(c.Cells), len(cells))
+	}
+	for i, j := range cells {
+		if tool, prog := spec.Tools[j.tool].Name, spec.programName(j); c.Cells[i].Tool != tool || c.Cells[i].Program != prog {
+			return fmt.Errorf("campaign: checkpoint cell %d is %s/%s, the spec's is %s/%s", i, c.Cells[i].Tool, c.Cells[i].Program, tool, prog)
+		}
+		if err := c.Cells[i].State.check(); err != nil {
+			return fmt.Errorf("campaign: checkpoint cell %d (%s/%s): %v", i, c.Cells[i].Tool, c.Cells[i].Program, err)
+		}
+	}
 	return nil
-}
-
-// restoreAdaptive pushes a checkpoint's barrier state back into the adaptive
-// runner: plan budgets, tracker snapshots, and one synthetic whole-range job
-// per cell carrying the merged fragment.
-func restoreAdaptive(spec Spec, c *Checkpoint, plans []*cellPlan, jobs *[]job, frags *[]fragment) {
-	planOf := map[cellKey]*cellPlan{}
-	for _, p := range plans {
-		planOf[cellKey{kind: p.kind, tool: p.tool, cell: p.cell}] = p
-	}
-	for i := range c.Cells {
-		cc := &c.Cells[i]
-		key := cellKey{kind: kindOf(cc.Kind), tool: cc.Tool, cell: cc.Cell}
-		p := planOf[key]
-		if p == nil {
-			// Unreachable behind ValidateAgainst (the digest pins the matrix);
-			// skipping beats corrupting plan state.
-			continue
-		}
-		p.used = cc.Used
-		p.stopped = cc.Stopped
-		if s, ok := p.tracker.(explore.Snapshotter); ok {
-			s.Restore(cc.Tracker)
-		}
-		if cc.Used > 0 {
-			*jobs = append(*jobs, job{kind: key.kind, tool: key.tool, cell: key.cell, lo: 0, hi: cc.Used})
-			*frags = append(*frags, cc.Frag.fragment())
-		}
-	}
-}
-
-// restoreComplete rebuilds the aggregate inputs of a finished campaign from
-// its Complete checkpoint, without re-running anything. adaptive additionally
-// rebuilds the per-cell budget reports.
-func restoreComplete(spec Spec, c *Checkpoint, adaptive bool) ([]job, []fragment, map[cellKey]*BudgetSummary) {
-	var jobs []job
-	var frags []fragment
-	var budgets map[cellKey]*BudgetSummary
-	if adaptive {
-		budgets = map[cellKey]*BudgetSummary{}
-	}
-	for i := range c.Cells {
-		cc := &c.Cells[i]
-		key := cellKey{kind: kindOf(cc.Kind), tool: cc.Tool, cell: cc.Cell}
-		if cc.Used > 0 {
-			jobs = append(jobs, job{kind: key.kind, tool: key.tool, cell: key.cell, lo: 0, hi: cc.Used})
-			frags = append(frags, cc.Frag.fragment())
-		}
-		if adaptive {
-			extended := cc.Used - spec.Runs
-			if extended < 0 {
-				extended = 0
-			}
-			budgets[key] = &BudgetSummary{
-				Planned: spec.Runs, Used: cc.Used,
-				Extended: extended, Converged: cc.Stopped,
-			}
-		}
-	}
-	return jobs, frags, budgets
 }

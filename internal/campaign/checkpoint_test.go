@@ -10,6 +10,7 @@ import (
 
 	"c11tester/internal/explore"
 	"c11tester/internal/litmus"
+	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
 
@@ -198,7 +199,36 @@ func TestMergeSummariesRefusals(t *testing.T) {
 	if _, err := MergeSummaries([]*Summary{p0, old}, false); err == nil {
 		t.Error("old-schema partial accepted")
 	}
-	_ = p1
+	// Cell states are input from outside the program: a partial whose states
+	// are missing, miscounted, or name a cell its spec does not put there is
+	// refused with an error naming the shard — never a panic.
+	bad := map[string]func(s *Summary){
+		"missing":    func(s *Summary) { s.Cells = nil },
+		"too few":    func(s *Summary) { s.Cells = s.Cells[:len(s.Cells)-1] },
+		"too many":   func(s *Summary) { s.Cells = append(s.Cells, s.Cells[0]) },
+		"tool":       func(s *Summary) { s.Cells[0].Tool = "tsan11" },
+		"program":    func(s *Summary) { s.Cells[0].Program = "seqlock" },
+		"litmus bit": func(s *Summary) { s.Cells[0].Litmus = true },
+		"histogram": func(s *Summary) {
+			s.Cells[0].State.Timing = &obs.HistogramSnapshot{Le: []uint64{1, 2}, N: []uint64{1}}
+		},
+		"spec": func(s *Summary) {
+			s.Spec.Benchmarks = []string{"seqlock"}
+			s.Cells[0].Program = "seqlock"
+		},
+	}
+	for name, corrupt := range bad {
+		part := *p1
+		part.Cells = append([]Cell(nil), p1.Cells...)
+		corrupt(&part)
+		if _, err := MergeSummaries([]*Summary{p0, &part}, false); err == nil ||
+			!strings.Contains(err.Error(), "shard 1") {
+			t.Errorf("%s cell states: err = %v, want a refusal naming shard 1", name, err)
+		}
+	}
+	if _, err := MergeSummaries([]*Summary{p0, p1}, false); err != nil {
+		t.Errorf("untouched partials refused: %v", err)
+	}
 }
 
 // TestCheckpointResumeByteIdentical is the other half of the tentpole
@@ -320,6 +350,18 @@ func TestValidateAgainstDetectsSpecDrift(t *testing.T) {
 	if err := ck.ValidateAgainst(same); err != nil {
 		t.Errorf("worker-count change refused: %v", err)
 	}
+	// A cell list that does not match the matrix (a corrupt file) refuses
+	// instead of indexing out of range on resume.
+	cells := ck.Cells
+	ck.Cells = nil
+	if err := ck.ValidateAgainst(same); err == nil {
+		t.Error("checkpoint without cells accepted")
+	}
+	ck.Cells = cells
+	ck.Cells[0].Program = "seqlock"
+	if err := ck.ValidateAgainst(same); err == nil {
+		t.Error("checkpoint cell naming another program accepted")
+	}
 }
 
 // TestCheckpointWriteFailureDoesNotAbort is the ENOSPC fault-injection leg:
@@ -394,6 +436,13 @@ func TestLoadCheckpointCorrupt(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(wrong); err == nil {
 		t.Error("foreign schema accepted as a checkpoint")
+	}
+	old := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(old, []byte(`{"schema":"c11tester/checkpoint","schema_version":1,"cells":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(old); err == nil {
+		t.Error("v1 checkpoint accepted; its cells carry no CellState")
 	}
 }
 

@@ -55,9 +55,14 @@ import (
 // v8: the rng-source echo ("rng" in the spec): campaigns name the random
 // source their decision streams were drawn from ("pcg", the splitmix-seeded
 // PCG subsystem, or "legacy", math/rand — reproduces pre-v8 artifacts).
+//
+// v9: shard partials carry their cells' mergeable state ("cells": static
+// identity plus CellState, in matrix order); cmd/c11merge decodes and folds
+// the states and renders the merged summary through the same code path a
+// single-machine run uses. Whole-campaign artifacts are unchanged from v8.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 8
+	SchemaVersion = 9
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -128,13 +133,6 @@ type GuideStats struct {
 type EngineFailure struct {
 	Error string        `json:"error"`
 	Repro harness.Repro `json:"repro"`
-}
-
-// cellKey identifies one (kind, tool, cell) of the campaign matrix.
-type cellKey struct {
-	kind jobKind
-	tool int
-	cell int
 }
 
 // CellSummary aggregates one (tool, benchmark) cell.
@@ -335,114 +333,9 @@ type Summary struct {
 	// The campaign still completes — a failed checkpoint costs the resume
 	// point, not the results — but the loss is never silent.
 	CheckpointErrors int `json:"checkpoint_errors,omitempty"`
-}
-
-// cellAcc accumulates the fragments of one cell.
-type cellAcc struct {
-	execs     int
-	detected  int
-	ops       capi.OpStats
-	elapsed   time.Duration
-	races     map[string]raceHit
-	outcomes  map[string]int
-	forbidden map[string]int
-	weak      map[string]int
-	findings  map[findingID]findingHit
-
-	checked    int
-	skipped    int
-	violations int
-	vioSamples []string
-	recorded   int
-	recordErrs int
-	allocBytes uint64
-	allocObjs  uint64
-
-	failed   int
-	failures []execFailure
-
-	captures    int
-	captureErrs int
-
-	guidedExecs    int
-	prefixDepth    int64
-	prefixConsumed int64
-	divergences    int
-}
-
-func newCellAcc() *cellAcc {
-	return &cellAcc{
-		races:     map[string]raceHit{},
-		outcomes:  map[string]int{},
-		forbidden: map[string]int{},
-		weak:      map[string]int{},
-		findings:  map[findingID]findingHit{},
-	}
-}
-
-func (a *cellAcc) merge(f fragment) {
-	a.execs += f.execs
-	a.detected += f.detected
-	a.ops.Add(f.ops)
-	a.elapsed += f.elapsed
-	mergeRaces(a.races, f.races)
-	for out, n := range f.outcomes {
-		a.outcomes[out] += n
-	}
-	for out, first := range f.forbidden {
-		if cur, seen := a.forbidden[out]; !seen || first < cur {
-			a.forbidden[out] = first
-		}
-	}
-	for out, n := range f.weak {
-		a.weak[out] += n
-	}
-	// Findings fold like races: counts sum, the earliest run wins the
-	// description (fragments merge in execution-index order).
-	for id, hit := range f.findings {
-		if cur, seen := a.findings[id]; seen {
-			if hit.run < cur.run {
-				cur.desc, cur.run = hit.desc, hit.run
-			}
-			cur.count += hit.count
-			a.findings[id] = cur
-		} else {
-			a.findings[id] = hit
-		}
-	}
-	a.checked += f.checked
-	a.skipped += f.skipped
-	a.violations += f.violations
-	for _, s := range f.vioSamples {
-		if len(a.vioSamples) >= maxViolationSamples {
-			break
-		}
-		a.vioSamples = append(a.vioSamples, s)
-	}
-	a.recorded += f.recorded
-	a.recordErrs += f.recordErrs
-	a.allocBytes += f.allocBytes
-	a.allocObjs += f.allocObjs
-	a.failed += f.failed
-	// Keep the earliest-run failure samples; fragments merge in job order
-	// (execution-index order within a cell), so insertion order is already
-	// by run, independent of worker scheduling.
-	for _, fl := range f.failures {
-		if len(a.failures) >= maxViolationSamples {
-			break
-		}
-		a.failures = append(a.failures, fl)
-	}
-	a.guidedExecs += f.guidedExecs
-	a.prefixDepth += f.prefixDepth
-	a.prefixConsumed += f.prefixConsumed
-	a.divergences += f.divergences
-	a.captures += len(f.captures)
-	for i := range f.captures {
-		if f.captures[i].Err != "" {
-			a.captureErrs++
-		}
-	}
+	// Cells carries a partial's per-cell state (schema v9), the input
+	// MergeSummaries folds. Absent on whole-campaign artifacts.
+	Cells []Cell `json:"cells,omitempty"`
 }
 
 // specInfo echoes the campaign parameters into their summary form; the same
@@ -476,268 +369,185 @@ func specInfo(spec Spec) SpecInfo {
 	return info
 }
 
-// aggregate folds the shard fragments into the Summary. Every merge is
-// order-independent (sums, histogram unions, min-by-index winners), so the
-// result does not depend on how jobs were scheduled across workers. budgets
-// carries the per-cell budget accounting of an adaptive policy (nil under
-// uniform).
-func aggregate(spec Spec, jobs []job, frags []fragment, budgets map[cellKey]*BudgetSummary, wall time.Duration, gc GCSummary) *Summary {
-	benchAcc := make([][]*cellAcc, len(spec.Tools))
-	litAcc := make([][]*cellAcc, len(spec.Tools))
-	for t := range spec.Tools {
-		benchAcc[t] = make([]*cellAcc, len(spec.Benchmarks))
-		for b := range benchAcc[t] {
-			benchAcc[t][b] = newCellAcc()
-		}
-		litAcc[t] = make([]*cellAcc, len(spec.Litmus))
-		for l := range litAcc[t] {
-			litAcc[t][l] = newCellAcc()
-		}
-	}
-	for i, j := range jobs {
-		switch j.kind {
-		case jobBench:
-			benchAcc[j.tool][j.cell].merge(frags[i])
-		case jobLitmus:
-			litAcc[j.tool][j.cell].merge(frags[i])
-		}
-	}
+// Cell is one cell of the campaign matrix as render consumes it: the static
+// identity rendering needs, the cell's budget accounting under an adaptive
+// policy, and its folded state. Shard partials carry their cells (schema
+// v9), in matrix order — tool-major, benchmarks before litmus tests.
+type Cell struct {
+	Tool       string `json:"tool"`
+	ReproFlags string `json:"repro_flags,omitempty"`
+	Program    string `json:"program"`
+	Litmus     bool   `json:"litmus,omitempty"`
+	// WeakDefined is how many weak outcomes the litmus test defines;
+	// GuideTraces is how many recorded traces guide the cell.
+	WeakDefined int            `json:"weak_defined,omitempty"`
+	GuideTraces int            `json:"guide_traces,omitempty"`
+	Budget      *BudgetSummary `json:"budget,omitempty"`
+	State       CellState      `json:"state"`
+}
 
-	sum := &Summary{Schema: SchemaName, SchemaVersion: SchemaVersion,
-		Spec: specInfo(spec), WallNS: int64(wall), GC: gc,
-		Provenance: BuildProvenance()}
-	for t, toolSpec := range spec.Tools {
-		ts := ToolSummary{Tool: toolSpec.Name, Races: []harness.RaceSummary{}}
-		var val ValidationSummary
-		// Campaign-wide race dedup: first winner by (cell order, run index).
-		type toolRace struct {
-			summary harness.RaceSummary
-			cell    int
-			run     int
-		}
-		// addRaces folds a cell's deduplicated races into dst, keeping the
-		// first winner by (cell order, run index) per key — a total order,
-		// so the outcome is independent of merge order.
-		addRaces := func(dst map[string]toolRace, cellIdx int, program string, inLitmus bool, races map[string]raceHit) {
-			for key, hit := range races {
-				repro := harness.Repro{Tool: toolSpec.Name, Program: program,
-					Seed: spec.SeedBase + int64(hit.run), Litmus: inLitmus,
-					Flags: toolSpec.ReproFlags}
-				cand := toolRace{summary: harness.RaceSummary{Key: key,
-					Description: hit.desc, Repro: repro},
-					cell: cellIdx, run: hit.run}
-				if cur, seen := dst[key]; !seen ||
-					cand.cell < cur.cell || (cand.cell == cur.cell && cand.run < cur.run) {
-					dst[key] = cand
-				}
-			}
-		}
-		toolRaces := map[string]toolRace{}
-
-		// addFindings renders a cell's deduplicated analyzer findings. The
-		// finding identity includes the cell (unlike races, which dedup
-		// campaign-wide), so cells contribute disjoint entries; cellIdx ranks
-		// benchmarks before litmus cells for the final sort.
-		type toolFinding struct {
-			summary FindingSummary
-			cell    int
-		}
-		var toolFindings []toolFinding
-		addFindings := func(cellIdx int, program string, inLitmus bool, findings map[findingID]findingHit) {
-			for _, id := range sortedFindingIDs(findings) {
-				hit := findings[id]
-				flags := strings.TrimSpace(toolSpec.ReproFlags + " -analyzers " + id.analyzer)
-				toolFindings = append(toolFindings, toolFinding{
-					summary: FindingSummary{Analyzer: id.analyzer, Key: id.key,
-						Description: hit.desc, Program: program, Litmus: inLitmus,
-						Count: hit.count,
-						Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
-							Seed: spec.SeedBase + int64(hit.run), Litmus: inLitmus,
-							Flags: flags}},
-					cell: cellIdx})
-			}
-		}
-
-		// addFailures folds a cell's sampled engine failures into the tool
-		// summary with their repro triples (cells visited in matrix order,
-		// samples already in run order, so the result is deterministic).
-		addFailures := func(program string, inLitmus bool, acc *cellAcc) {
-			ts.EngineFailures += acc.failed
-			for _, fl := range acc.failures {
-				if len(ts.FailureSamples) >= maxViolationSamples {
-					break
-				}
-				ts.FailureSamples = append(ts.FailureSamples, EngineFailure{
-					Error: fl.err,
-					Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
-						Seed: spec.SeedBase + int64(fl.run), Litmus: inLitmus,
-						Flags: toolSpec.ReproFlags},
-				})
-			}
-		}
-
-		for b, bench := range spec.Benchmarks {
-			acc := benchAcc[t][b]
-			meanTime := time.Duration(0)
-			if acc.execs > 0 {
-				meanTime = acc.elapsed / time.Duration(acc.execs)
-			}
-			cell := CellSummary{
-				Program: bench.Name,
-				Detection: harness.Detection{
-					Runs: acc.execs, Detected: acc.detected,
-					Time: meanTime, Ops: acc.ops,
-				}.Summary(),
-				RaceKeys: harness.SortedKeys(acc.races),
-				Budget:   budgets[cellKey{kind: jobBench, tool: t, cell: b}],
-				Guided:   guideStatsOf(spec, toolSpec.Name, bench.Name, acc),
-				Failed:   acc.failed,
-			}
-			if spec.Telemetry != nil {
-				cell.Timing = spec.Telemetry.timingSnapshot(jobBench, t, b)
-				cell.Phases = spec.Telemetry.phaseSnapshots(jobBench, t, b)
-			}
-			ts.Benchmarks = append(ts.Benchmarks, cell)
-			addRaces(toolRaces, b, bench.Name, false, acc.races)
-			addFindings(b, bench.Name, false, acc.findings)
-			addFailures(bench.Name, false, acc)
-			ts.Execs += acc.execs
-			ts.WorkNS += int64(acc.elapsed)
-			ts.AtomicOps += acc.ops.AtomicOps
-			ts.NormalOps += acc.ops.NormalOps
-			addToolAcc(&ts, &val, acc)
-		}
-		for _, key := range harness.SortedKeys(toolRaces) {
-			ts.Races = append(ts.Races, toolRaces[key].summary)
-		}
-
-		unexpected := map[string]toolRace{}
-		for l, test := range spec.Litmus {
-			acc := litAcc[t][l]
-			ls := LitmusSummary{
-				Test: test.Name, Execs: acc.execs,
-				Outcomes:    acc.outcomes,
-				WeakSeen:    harness.SortedKeys(acc.weak),
-				WeakDefined: len(test.Weak),
-				Budget:      budgets[cellKey{kind: jobLitmus, tool: t, cell: l}],
-				Guided:      guideStatsOf(spec, toolSpec.Name, test.Name, acc),
-				Failed:      acc.failed,
-			}
-			if spec.Telemetry != nil {
-				ls.Timing = spec.Telemetry.timingSnapshot(jobLitmus, t, l)
-				ls.Phases = spec.Telemetry.phaseSnapshots(jobLitmus, t, l)
-			}
-			for _, out := range harness.SortedKeys(acc.forbidden) {
-				ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
-					Test: test.Name, Outcome: out, Count: acc.outcomes[out],
-					Repro: harness.Repro{Tool: toolSpec.Name, Program: test.Name,
-						Seed: spec.SeedBase + int64(acc.forbidden[out]), Litmus: true,
-						Flags: toolSpec.ReproFlags},
-				})
-			}
-			ts.Litmus = append(ts.Litmus, ls)
-			addRaces(unexpected, l, test.Name, true, acc.races)
-			addFindings(len(spec.Benchmarks)+l, test.Name, true, acc.findings)
-			addFailures(test.Name, true, acc)
-			ts.Execs += acc.execs
-			ts.WorkNS += int64(acc.elapsed)
-			ts.AtomicOps += acc.ops.AtomicOps
-			ts.NormalOps += acc.ops.NormalOps
-			addToolAcc(&ts, &val, acc)
-		}
-		for _, key := range harness.SortedKeys(unexpected) {
-			ts.UnexpectedRaces = append(ts.UnexpectedRaces, unexpected[key].summary)
-		}
-		// Findings sort by (analyzer, cell order, key) — a total order
-		// independent of worker scheduling; the per-analyzer rollups follow
-		// the spec's request order so every requested analyzer appears.
-		sort.Slice(toolFindings, func(i, j int) bool {
-			a, b := toolFindings[i], toolFindings[j]
-			if a.summary.Analyzer != b.summary.Analyzer {
-				return a.summary.Analyzer < b.summary.Analyzer
-			}
-			if a.cell != b.cell {
-				return a.cell < b.cell
-			}
-			return a.summary.Key < b.summary.Key
-		})
-		for _, tf := range toolFindings {
-			ts.Findings = append(ts.Findings, tf.summary)
-		}
-		for _, name := range spec.Analyzers {
-			as := AnalyzerSummary{Analyzer: name}
-			for _, f := range ts.Findings {
-				if f.Analyzer == name {
-					as.Distinct++
-					as.Count += f.Count
-				}
-			}
-			ts.Analyzers = append(ts.Analyzers, as)
-		}
-		ts.ExecsPerSec = harness.ExecsPerSec(ts.Execs, time.Duration(ts.WorkNS))
-		if ts.Execs > 0 {
-			ts.Perf.BytesPerExec = float64(ts.Perf.AllocBytes) / float64(ts.Execs)
-		}
-		if spec.ValidateAxioms {
-			ts.Validation = &val
-		}
-		sum.Tools = append(sum.Tools, ts)
+// render builds a campaign Summary from its spec echo and its cells in
+// matrix order. It is the one place a Summary is rendered from state: Run
+// renders its own cells, MergeSummaries the folded cells of its partials.
+// Every list it emits is ordered by a total order over the cells' contents
+// (cell order, run, key), so the result does not depend on how the states
+// were folded.
+func render(info SpecInfo, cells []Cell) *Summary {
+	sum := &Summary{Schema: SchemaName, SchemaVersion: SchemaVersion, Spec: info}
+	perTool := len(info.Benchmarks) + len(info.Litmus)
+	for t, name := range info.Tools {
+		sum.Tools = append(sum.Tools, renderTool(info, name, cells[t*perTool:(t+1)*perTool]))
 	}
 	return sum
 }
 
-// addToolAcc folds one cell's trace/validation/allocation aggregates into
-// the tool summary.
-func addToolAcc(ts *ToolSummary, val *ValidationSummary, acc *cellAcc) {
-	ts.Perf.AllocBytes += acc.allocBytes
-	ts.Perf.AllocObjects += acc.allocObjs
-	ts.RecordedTraces += acc.recorded
-	ts.RecordErrors += acc.recordErrs
-	ts.Captures += acc.captures
-	ts.CaptureErrors += acc.captureErrs
-	val.Checked += acc.checked
-	val.Skipped += acc.skipped
-	val.Violations += acc.violations
-	for _, s := range acc.vioSamples {
-		if len(val.Samples) >= maxViolationSamples {
-			break
-		}
-		val.Samples = append(val.Samples, s)
+// renderTool renders one tool's summary from its row of cells.
+func renderTool(info SpecInfo, name string, cells []Cell) ToolSummary {
+	ts := ToolSummary{Tool: name, Races: []harness.RaceSummary{}}
+	var val ValidationSummary
+	repro := func(c *Cell, run int, flags string) harness.Repro {
+		return harness.Repro{Tool: name, Program: c.Program,
+			Seed: info.SeedBase + int64(run), Litmus: c.Litmus, Flags: flags}
 	}
-}
+	// Races dedup tool-wide (benchmark races and litmus races apart): cells
+	// are visited in matrix order, so the first cell showing a key wins, and
+	// within a cell its min-run winner does.
+	races := map[string]harness.RaceSummary{}
+	unexpected := map[string]harness.RaceSummary{}
+	for i := range cells {
+		c := &cells[i]
+		st := &c.State
+		dst := races
+		if c.Litmus {
+			dst = unexpected
+		}
+		for key, hit := range st.Races {
+			if _, seen := dst[key]; !seen {
+				dst[key] = harness.RaceSummary{Key: key, Description: hit.Desc,
+					Repro: repro(c, hit.Run, c.ReproFlags)}
+			}
+		}
+		// Finding identity includes the cell, so cells contribute disjoint
+		// entries; the stable sort below orders them by (analyzer, cell
+		// order, key).
+		for _, analyzer := range harness.SortedKeys(st.Findings) {
+			flags := strings.TrimSpace(c.ReproFlags + " -analyzers " + analyzer)
+			hits := st.Findings[analyzer]
+			for _, key := range harness.SortedKeys(hits) {
+				hit := hits[key]
+				ts.Findings = append(ts.Findings, FindingSummary{Analyzer: analyzer,
+					Key: key, Description: hit.Desc, Program: c.Program,
+					Litmus: c.Litmus, Count: hit.Count, Repro: repro(c, hit.Run, flags)})
+			}
+		}
+		for _, f := range st.Failures {
+			if len(ts.FailureSamples) < maxViolationSamples {
+				ts.FailureSamples = append(ts.FailureSamples,
+					EngineFailure{Error: f.Text, Repro: repro(c, f.Run, c.ReproFlags)})
+			}
+		}
+		for _, v := range st.VioSamples {
+			if len(val.Samples) < maxViolationSamples {
+				val.Samples = append(val.Samples, fmt.Sprintf("%s/%s seed %d: %s",
+					name, c.Program, info.SeedBase+int64(v.Run), v.Text))
+			}
+		}
+		ts.Execs += st.Execs
+		ts.WorkNS += st.ElapsedNS
+		ts.AtomicOps += st.AtomicOps
+		ts.NormalOps += st.NormalOps
+		ts.Perf.AllocBytes += st.AllocBytes
+		ts.Perf.AllocObjects += st.AllocObjs
+		ts.RecordedTraces += st.Recorded
+		ts.RecordErrors += st.RecordErrs
+		ts.Captures += st.Captures
+		ts.CaptureErrors += st.CaptureErrs
+		ts.EngineFailures += st.Failed
+		val.Checked += st.Checked
+		val.Skipped += st.Skipped
+		val.Violations += st.Violations
 
-// sortedFindingIDs orders a findings map by (analyzer, key), the iteration
-// order every consumer (aggregate, checkpoint, events) uses.
-func sortedFindingIDs(m map[findingID]findingHit) []findingID {
-	ids := make([]findingID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].analyzer != ids[j].analyzer {
-			return ids[i].analyzer < ids[j].analyzer
+		if !c.Litmus {
+			meanTime := time.Duration(0)
+			if st.Execs > 0 {
+				meanTime = time.Duration(st.ElapsedNS) / time.Duration(st.Execs)
+			}
+			ts.Benchmarks = append(ts.Benchmarks, CellSummary{
+				Program: c.Program,
+				Detection: harness.Detection{Runs: st.Execs, Detected: st.Detected,
+					Time: meanTime,
+					Ops:  capi.OpStats{AtomicOps: st.AtomicOps, NormalOps: st.NormalOps},
+				}.Summary(),
+				RaceKeys: harness.SortedKeys(st.Races),
+				Budget:   c.Budget, Guided: guideStats(c), Failed: st.Failed,
+				Timing: st.Timing, Phases: st.Phases,
+			})
+			continue
 		}
-		return ids[i].key < ids[j].key
+		ls := LitmusSummary{
+			Test: c.Program, Execs: st.Execs, Outcomes: st.Outcomes,
+			WeakSeen: harness.SortedKeys(st.Weak), WeakDefined: c.WeakDefined,
+			Budget: c.Budget, Guided: guideStats(c), Failed: st.Failed,
+			Timing: st.Timing, Phases: st.Phases,
+		}
+		if ls.Outcomes == nil {
+			ls.Outcomes = map[string]int{}
+		}
+		for _, out := range harness.SortedKeys(st.Forbidden) {
+			ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
+				Test: c.Program, Outcome: out, Count: st.Outcomes[out],
+				Repro: repro(c, st.Forbidden[out], c.ReproFlags)})
+		}
+		ts.Litmus = append(ts.Litmus, ls)
+	}
+	for _, key := range harness.SortedKeys(races) {
+		ts.Races = append(ts.Races, races[key])
+	}
+	for _, key := range harness.SortedKeys(unexpected) {
+		ts.UnexpectedRaces = append(ts.UnexpectedRaces, unexpected[key])
+	}
+	// Findings sort by analyzer, keeping (cell order, key) within one; the
+	// per-analyzer rollups follow the spec's request order so every
+	// requested analyzer appears.
+	sort.SliceStable(ts.Findings, func(i, j int) bool {
+		return ts.Findings[i].Analyzer < ts.Findings[j].Analyzer
 	})
-	return ids
+	for _, analyzer := range info.Analyzers {
+		as := AnalyzerSummary{Analyzer: analyzer}
+		for _, f := range ts.Findings {
+			if f.Analyzer == analyzer {
+				as.Distinct++
+				as.Count += f.Count
+			}
+		}
+		ts.Analyzers = append(ts.Analyzers, as)
+	}
+	ts.ExecsPerSec = harness.ExecsPerSec(ts.Execs, time.Duration(ts.WorkNS))
+	if ts.Execs > 0 {
+		ts.Perf.BytesPerExec = float64(ts.Perf.AllocBytes) / float64(ts.Execs)
+	}
+	if info.Validate {
+		ts.Validation = &val
+	}
+	return ts
 }
 
-// guideStatsOf renders a cell's guided-exploration statistics, or nil when
-// the cell did not run guided.
-func guideStatsOf(spec Spec, tool, program string, acc *cellAcc) *GuideStats {
-	traces := spec.Guides.For(tool, program)
-	if len(traces) == 0 || acc.guidedExecs == 0 {
+// guideStats renders a cell's guided-exploration statistics, or nil when the
+// cell did not run guided.
+func guideStats(c *Cell) *GuideStats {
+	st := &c.State
+	if c.GuideTraces == 0 || st.GuidedExecs == 0 {
 		return nil
 	}
-	n := float64(acc.guidedExecs)
+	n := float64(st.GuidedExecs)
 	return &GuideStats{
-		Traces:          len(traces),
-		GuidedExecs:     acc.guidedExecs,
-		MeanPrefixDepth: float64(acc.prefixDepth) / n,
-		MeanConsumed:    float64(acc.prefixConsumed) / n,
-		Divergences:     acc.divergences,
-		PrefixDepthSum:  acc.prefixDepth,
-		ConsumedSum:     acc.prefixConsumed,
+		Traces:          c.GuideTraces,
+		GuidedExecs:     st.GuidedExecs,
+		MeanPrefixDepth: float64(st.PrefixDepth) / n,
+		MeanConsumed:    float64(st.PrefixConsumed) / n,
+		Divergences:     st.Divergences,
+		PrefixDepthSum:  st.PrefixDepth,
+		ConsumedSum:     st.PrefixConsumed,
 	}
 }
 
@@ -999,10 +809,10 @@ func (s *Summary) WriteJSON(path string) error {
 // Zeroed: wall clock, GC and allocation counters, per-cell mean times and
 // timing/phase histograms, per-tool work time and throughput, event-stream
 // accounting, and the run-shape echoes (Workers, artifact directories) plus
-// the shard header, checkpoint accounting, and build provenance (`go run`
-// and `go build` of the same tree stamp different VCS metadata, and the
-// guarantee must hold across binaries; skew is surfaced by Compare and
-// refused by MergeSummaries instead). Kept: everything the model produced —
+// a partial's shard header and cell states, checkpoint accounting, and build
+// provenance (`go run` and `go build` of the same tree stamp different VCS
+// metadata, and the guarantee must hold across binaries; skew is surfaced by
+// Compare and refused by MergeSummaries instead). Kept: everything the model produced —
 // detections, races, outcomes, budgets, guide sums, validation.
 func (s *Summary) Canonical() *Summary {
 	data, err := json.Marshal(s)
@@ -1017,6 +827,7 @@ func (s *Summary) Canonical() *Summary {
 	c.GC = GCSummary{}
 	c.Obs = nil
 	c.Shard = nil
+	c.Cells = nil
 	c.CheckpointErrors = 0
 	c.Provenance = nil
 	c.Spec.Workers = 0

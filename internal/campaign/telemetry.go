@@ -89,6 +89,13 @@ type TelemetryOptions struct {
 	Timestamps bool
 }
 
+// cellKey identifies one (kind, tool, cell) of the campaign matrix.
+type cellKey struct {
+	kind jobKind
+	tool int
+	cell int
+}
+
 // Telemetry is one campaign's observability fabric: the metric registry with
 // its per-cell handles, the event stream, and the live progress state behind
 // /progress. Create one per campaign.Run; Run binds it to the spec's matrix,
@@ -350,15 +357,8 @@ func (t *Telemetry) campaignStart(info SpecInfo) {
 // end lands in cell_end.
 func (t *Telemetry) unitStart(wave int, j job, budget int) {
 	t.emit(Event{Type: "cell_start", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.programOf(j), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programName(j), Litmus: j.kind == jobLitmus,
 		Lo: j.lo, Hi: j.lo + budget})
-}
-
-func (t *Telemetry) programOf(j job) string {
-	if j.kind == jobLitmus {
-		return t.spec.Litmus[j.cell].Name
-	}
-	return t.spec.Benchmarks[j.cell].Name
 }
 
 // unitDone folds one completed unit into the campaign-level progress state
@@ -366,12 +366,12 @@ func (t *Telemetry) programOf(j job) string {
 // instance, with the repro triple of the unit's earliest execution showing
 // it), analyzer_finding (per deduplicated finding, repro flags including the
 // -analyzers selection), forbidden_outcome, engine_failure, trace_recorded,
-// and cell_end. All
-// event contents derive from the fragment — a pure function of the job —
-// so the event set is identical for any worker count; only line order varies.
-func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
+// capture, and cell_end. All event contents derive from the unit's state
+// and capture records — pure functions of the job — so the event set is
+// identical for any worker count; only line order varies.
+func (t *Telemetry) unitDone(wave int, j job, st *CellState, captures []obs.CaptureRecord) {
 	toolSpec := t.spec.Tools[j.tool]
-	program := t.programOf(j)
+	program := t.spec.programName(j)
 	litmus := j.kind == jobLitmus
 
 	repro := func(run int) string {
@@ -379,42 +379,45 @@ func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
 			Seed: t.spec.SeedBase + int64(run), Litmus: litmus,
 			Flags: toolSpec.ReproFlags}.Command()
 	}
-	for _, key := range harness.SortedKeys(frag.races) {
-		hit := frag.races[key]
+	for _, key := range harness.SortedKeys(st.Races) {
+		hit := st.Races[key]
 		t.emit(Event{Type: "race_first_seen", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Key: key, Desc: hit.desc,
-			Seed: t.spec.SeedBase + int64(hit.run), Repro: repro(hit.run)})
+			Key: key, Desc: hit.Desc,
+			Seed: t.spec.SeedBase + int64(hit.Run), Repro: repro(hit.Run)})
 	}
-	for _, id := range sortedFindingIDs(frag.findings) {
-		hit := frag.findings[id]
-		t.emit(Event{Type: "analyzer_finding", Wave: wave,
-			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Analyzer: id.analyzer, Key: id.key, Desc: hit.desc, Count: hit.count,
-			Seed: t.spec.SeedBase + int64(hit.run),
-			Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
-				Seed: t.spec.SeedBase + int64(hit.run), Litmus: litmus,
-				Flags: strings.TrimSpace(toolSpec.ReproFlags + " -analyzers " + id.analyzer)}.Command()})
+	for _, analyzer := range harness.SortedKeys(st.Findings) {
+		hits := st.Findings[analyzer]
+		for _, key := range harness.SortedKeys(hits) {
+			hit := hits[key]
+			t.emit(Event{Type: "analyzer_finding", Wave: wave,
+				Tool: toolSpec.Name, Program: program, Litmus: litmus,
+				Analyzer: analyzer, Key: key, Desc: hit.Desc, Count: hit.Count,
+				Seed: t.spec.SeedBase + int64(hit.Run),
+				Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
+					Seed: t.spec.SeedBase + int64(hit.Run), Litmus: litmus,
+					Flags: strings.TrimSpace(toolSpec.ReproFlags + " -analyzers " + analyzer)}.Command()})
+		}
 	}
-	for _, out := range harness.SortedKeys(frag.forbidden) {
-		first := frag.forbidden[out]
+	for _, out := range harness.SortedKeys(st.Forbidden) {
+		first := st.Forbidden[out]
 		t.emit(Event{Type: "forbidden_outcome", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: true,
-			Outcome: out, Count: frag.outcomes[out],
+			Outcome: out, Count: st.Outcomes[out],
 			Seed: t.spec.SeedBase + int64(first), Repro: repro(first)})
 	}
-	for _, fl := range frag.failures {
+	for _, fl := range st.Failures {
 		t.emit(Event{Type: "engine_failure", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Err: fl.err, Seed: t.spec.SeedBase + int64(fl.run), Repro: repro(fl.run)})
+			Err: fl.Text, Seed: t.spec.SeedBase + int64(fl.Run), Repro: repro(fl.Run)})
 	}
-	if frag.recorded > 0 {
+	if st.Recorded > 0 {
 		t.emit(Event{Type: "trace_recorded", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Recorded: frag.recorded, Lo: j.lo, Hi: j.hi})
+			Recorded: st.Recorded, Lo: j.lo, Hi: j.hi})
 	}
-	for i := range frag.captures {
-		c := &frag.captures[i]
+	for i := range captures {
+		c := &captures[i]
 		t.emit(Event{Type: "capture", Wave: wave,
 			Tool: c.Tool, Program: c.Program, Litmus: c.Litmus,
 			Seed: c.Seed, Trigger: c.Trigger, File: c.File,
@@ -422,15 +425,15 @@ func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
 	}
 	t.emit(Event{Type: "cell_end", Wave: wave,
 		Tool: toolSpec.Name, Program: program, Litmus: litmus,
-		Lo: j.lo, Hi: j.hi, Execs: frag.execs, Races: len(frag.races),
-		Detected: frag.detected, Failures: frag.failed})
+		Lo: j.lo, Hi: j.hi, Execs: st.Execs, Races: len(st.Races),
+		Detected: st.Detected, Failures: st.Failed})
 
 	t.mu.Lock()
-	for key := range frag.races {
+	for key := range st.Races {
 		t.raceKeys[toolSpec.Name+"\x00"+key] = true
 	}
 	t.racesG.Set(int64(len(t.raceKeys)))
-	t.failures += frag.failed
+	t.failures += st.Failed
 	done := t.execsDoneLocked()
 	t.samples = append(t.samples, progressSample{at: time.Now(), execs: done})
 	if len(t.samples) > progressSampleRing {
@@ -483,7 +486,7 @@ func (t *Telemetry) cellConverged(wave int, j job, used int) {
 		extended = 0
 	}
 	t.emit(Event{Type: "cell_converged", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.programOf(j), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programName(j), Litmus: j.kind == jobLitmus,
 		Budget: &BudgetSummary{Planned: t.spec.Runs, Used: used, Extended: extended, Converged: true}})
 }
 
@@ -504,7 +507,7 @@ func (t *Telemetry) convergeState(wave int, j job, tracker explore.Tracker) {
 	t.convergeSnaps[key] = &st
 	t.mu.Unlock()
 	t.emit(Event{Type: "cell_converge_state", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.programOf(j), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programName(j), Litmus: j.kind == jobLitmus,
 		Converge: &st})
 }
 
@@ -721,6 +724,21 @@ func (t *Telemetry) phaseSnapshots(kind jobKind, tool, cell int) map[string]*obs
 			out = make(map[string]*obs.HistogramSnapshot, core.NumPhases)
 		}
 		out[core.Phase(p).String()] = m.PhaseNS[p].Snapshot()
+	}
+	return out
+}
+
+// observed returns copies of a campaign's cell states (matrix order) with
+// this process's per-cell timing and phase histograms folded in — the form
+// checkpoints persist and summaries render. A resumed campaign's restored
+// states already carry the earlier process's histograms, and this fabric
+// only observed the executions run since, so nothing is counted twice.
+func (t *Telemetry) observed(spec Spec, states []CellState) []CellState {
+	out := make([]CellState, len(states))
+	for i, j := range spec.cellJobs() {
+		out[i].Merge(&states[i])
+		out[i].Merge(&CellState{Timing: t.timingSnapshot(j.kind, j.tool, j.cell),
+			Phases: t.phaseSnapshots(j.kind, j.tool, j.cell)})
 	}
 	return out
 }
