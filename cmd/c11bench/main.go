@@ -7,8 +7,8 @@
 // committed numbers track the hot-path trajectory across PRs.
 //
 // The scheduler dimension of the paper's Figure 14 is exposed directly:
-// -handoff selects the handoff regime (channel ≈ swapcontext fibers, cond ≈
-// condition-variable sequencing, osthread ≈ kernel-thread sequencing),
+// -handoff selects the handoff regime (coro ≈ swapcontext fibers, the tools'
+// default; osthread ≈ kernel-thread condition-variable sequencing),
 // -respawn disables the fiber pool, and -fig14 appends the full regime ×
 // {pooled, respawn} matrix to the artifact.
 //
@@ -17,7 +17,7 @@
 //	go run ./cmd/c11bench                         # full matrix, 30 execs/cell
 //	go run ./cmd/c11bench -tools c11tester -bench ms-queue -runs 200
 //	go run ./cmd/c11bench -litmus none -runs 100 -json ''
-//	go run ./cmd/c11bench -handoff cond -q        # Figure 14 cond regime
+//	go run ./cmd/c11bench -handoff osthread -q    # Figure 14 osthread regime
 //	go run ./cmd/c11bench -tools c11tester -litmus SB+rlx,CoRR,MP+rlx -bench none -fig14
 package main
 
@@ -46,7 +46,7 @@ func run(args []string, out *os.File) int {
 		warmup   = fs.Int("warmup", 1, "unmeasured warmup sweeps of the measured seed range per cell (0 for none)")
 		seed     = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
 		jsonPath = fs.String("json", "BENCH_perf.json", "perf artifact path ('' disables)")
-		handoff  = fs.String("handoff", "channel", "scheduler handoff regime: channel, cond, or osthread (Figure 14)")
+		handoff  = fs.String("handoff", "", "scheduler handoff regime: coro or osthread (Figure 14); '' keeps each tool's default (coro)")
 		respawn  = fs.Bool("respawn", false, "disable the fiber pool: respawn worker goroutines per execution (Figure 14)")
 		fig14    = fs.Bool("fig14", false, "append the Figure 14 handoff × scheduler matrix over the selected programs")
 		rngSrc   = fs.String("rng", "pcg", "random source behind every tool decision: pcg (O(1) seed) or legacy (math/rand)")

@@ -19,8 +19,8 @@
 //   - tsan11 does not control the schedule: threads run under the OS
 //     scheduler. On the engine's sequentialized substrate this is modelled
 //     by quantum scheduling (a thread runs a geometrically distributed
-//     number of operations before being preempted) over the cheap channel
-//     handoff.
+//     number of operations before being preempted) over the default
+//     coroutine handoff.
 //
 //   - tsan11rec sequentializes visible operations across kernel threads
 //     and records them for replay. Its threads are pinned to OS threads
@@ -298,9 +298,9 @@ type Options struct {
 	// (see CommitModel.SetConservativeSync); on by default to match the
 	// tools' measured behaviour.
 	PreciseSync bool
-	// FastHandoff runs tsan11rec on the cheap channel handoff instead of
-	// kernel threads (useful in tests; performance experiments use the
-	// faithful regime).
+	// FastHandoff runs tsan11rec on the default coroutine handoff instead
+	// of kernel threads (the campaign default; the faithful regime is the
+	// Figure 14 comparison).
 	FastHandoff bool
 	// Handoff, when non-empty, overrides the tool's handoff regime outright
 	// (sched.ParseHandoff names; it takes precedence over FastHandoff).
@@ -349,7 +349,7 @@ func NewTsan11(opts Options) *core.Engine {
 func NewTsan11rec(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, true)
 	m.SetConservativeSync(!opts.PreciseSync)
-	def := sched.Config{LockOSThread: true, CondHandoff: true}
+	def := sched.Config{Handoff: sched.OSThread}
 	if opts.FastHandoff {
 		def = sched.Config{}
 	}

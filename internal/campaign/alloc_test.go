@@ -192,7 +192,7 @@ func TestRunHandoffMatrix(t *testing.T) {
 	// combination instead of re-measuring it.
 	prior := &PerfSummary{
 		SchemaVersion: PerfSchemaVersion,
-		Spec:          PerfSpecInfo{Handoff: "channel", Pooled: true},
+		Spec:          PerfSpecInfo{Handoff: "osthread", Pooled: true},
 		Tools:         []PerfToolSummary{{Tool: "c11tester", Execs: 99, NsPerExec: 123}},
 	}
 	cells, err = RunHandoffMatrix(PerfSpec{Litmus: lits, Runs: 2, Warmup: 1, SeedBase: 1},
@@ -201,7 +201,7 @@ func TestRunHandoffMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if c.Handoff == "channel" && c.Pooled {
+		if c.Handoff == "osthread" && c.Pooled {
 			if c.Execs != 99 || c.NsPerExec != 123 {
 				t.Errorf("prior aggregate not reused: %+v", c)
 			}

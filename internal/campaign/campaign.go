@@ -783,10 +783,10 @@ func newCellRunner(spec Spec, j job) *cellRunner {
 
 func (r *cellRunner) programName() string { return r.spec.programName(r.j) }
 
-// closeTool releases a tool instance: engines retire their fiber-pool
-// workers (core.Engine.Close), so long-lived processes do not accumulate
-// parked goroutines across the many tool instances campaigns and perf runs
-// construct.
+// closeTool releases a tool instance: engines release their fiber-pool
+// workers (core.Engine.Close) to the scheduler's bounded idle list or end
+// them, so long-lived processes do not accumulate parked goroutines across
+// the many tool instances campaigns and perf runs construct.
 func closeTool(t capi.Tool) {
 	if c, ok := t.(interface{ Close() }); ok {
 		c.Close()

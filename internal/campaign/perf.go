@@ -125,11 +125,11 @@ type PerfSpecInfo struct {
 
 // HandoffCell is one aggregated measurement of the Figure 14 handoff matrix:
 // one tool measured over the spec's programs under one handoff regime ×
-// scheduler (pooled fiber workers vs goroutine respawn) combination. The
+// scheduler (pooled fiber workers vs per-thread respawn) combination. The
 // matrix reproduces the paper's Figure 14 comparison — user-level switches
-// (channel ≈ swapcontext fibers) against condition-variable sequencing on
-// green and kernel threads — with the pool dimension isolating what worker
-// reuse itself buys.
+// (coro ≈ swapcontext fibers) against condition-variable sequencing on
+// kernel threads — with the pool dimension isolating what worker reuse
+// itself buys.
 type HandoffCell struct {
 	Handoff string `json:"handoff"`
 	Pooled  bool   `json:"pooled"`
@@ -305,7 +305,7 @@ func schedLabel(pooled bool) string {
 }
 
 // RunHandoffMatrix measures the Figure 14 design space: every handoff regime
-// (channel, cond, osthread) × {pooled, respawn} scheduler, for each named
+// (coro, osthread) × {pooled, respawn} scheduler, for each named
 // tool, over the spec's programs. Each combination reuses the serial RunPerf
 // machinery with tools rebuilt under the regime, and is aggregated to one
 // HandoffCell. base supplies the non-scheduler tool options. prior, when

@@ -80,11 +80,12 @@ type ToolOptions struct {
 	// MaxSteps caps execution length; 0 keeps each tool's default.
 	MaxSteps uint64
 	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
-	// handoff (the Figure 14 regime) instead of the cheap channel handoff.
+	// handoff (the Figure 14 regime) instead of the default coroutine
+	// handoff.
 	FaithfulHandoff bool
 	// Handoff, when non-empty, overrides every tool's scheduler handoff
-	// regime ("channel", "cond", "osthread" — see sched.ParseHandoff); it
-	// takes precedence over FaithfulHandoff. Scheduling decisions and
+	// regime ("coro" or "osthread" — see sched.ParseHandoff); it takes
+	// precedence over FaithfulHandoff. Scheduling decisions and
 	// campaign outcomes are identical across regimes; only the handoff cost
 	// changes (the Figure 14 dimension cmd/c11bench measures).
 	Handoff string
@@ -278,7 +279,7 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			} else {
 				strat = core.NewRandomStrategyKind(rngKind)
 			}
-			schedCfg := sched.MustHandoff(opts.Handoff) // "" is the channel default
+			schedCfg := sched.MustHandoff(opts.Handoff) // "" is the coro default
 			schedCfg.Respawn = opts.Respawn
 			return core.New(name, core.NewC11Model(), core.Config{
 				Sched:      schedCfg,

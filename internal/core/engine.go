@@ -540,11 +540,12 @@ func (e *Engine) resetExecState(seed int64) {
 	e.model.Begin(e)
 }
 
-// Close retires the engine's scheduler workers (see sched.Shutdown), so
+// Close releases the engine's scheduler workers (see sched.Shutdown), so
 // discarding a pooled engine does not leave parked goroutines behind in a
-// long-lived process. Campaign runners close every tool instance when its
-// unit of work completes. Close is idempotent; a later Execute transparently
-// builds a fresh scheduler (and pool) again.
+// long-lived process beyond the scheduler's bounded idle list. Campaign
+// runners close every tool instance when its unit of work completes. Close
+// is idempotent; a later Execute transparently builds a fresh scheduler (and
+// pool) again.
 func (e *Engine) Close() {
 	if e.sch != nil {
 		e.sch.Shutdown()
@@ -553,10 +554,10 @@ func (e *Engine) Close() {
 }
 
 // Workers returns the number of live pooled scheduler workers (0 before the
-// first execution) and WorkerSpawns the number of goroutines the scheduler
-// has ever started. The fiber-pool tests pin the tentpole invariant with
-// them: spawns stop growing once the pool is warm, and retirements (panics)
-// replace workers instead of leaking them.
+// first execution) and WorkerSpawns the number of workers the scheduler has
+// ever obtained (see sched.Scheduler.Spawns). The fiber-pool tests pin the
+// tentpole invariant with them: spawns stop growing once the pool is warm,
+// and retirements (panics) replace workers instead of leaking them.
 func (e *Engine) Workers() int {
 	if e.sch == nil {
 		return 0
@@ -564,8 +565,7 @@ func (e *Engine) Workers() int {
 	return e.sch.WorkerCount()
 }
 
-// WorkerSpawns returns the scheduler's lifetime goroutine-start count; see
-// Workers.
+// WorkerSpawns returns the scheduler's lifetime worker count; see Workers.
 func (e *Engine) WorkerSpawns() int {
 	if e.sch == nil {
 		return 0

@@ -205,7 +205,7 @@ func (v *env) Assert(cond bool, format string, args ...any) {
 }
 
 // RandUint64 draws from the engine's per-execution source. Threads run one
-// at a time and are totally ordered by the handoff channels, so the shared
+// at a time and are totally ordered by the scheduler's handoff, so the shared
 // source is safe to use here without additional synchronization.
 func (v *env) RandUint64() uint64 { return v.e.Rand().Uint64() }
 
@@ -213,6 +213,6 @@ func (v *env) RandUint64() uint64 { return v.e.Rand().Uint64() }
 // without a dispatch Op: they have no memory-model or scheduling effect, so
 // routing them through the scheduler would only perturb nothing at a handoff
 // cost. Like RandUint64, direct engine access is safe because threads run one
-// at a time, totally ordered by the handoff channels.
+// at a time, totally ordered by the scheduler's handoff.
 func (v *env) BeginAtomic(name string) { v.e.beginBlock(v.ts, name) }
 func (v *env) EndAtomic()              { v.e.endBlock(v.ts) }

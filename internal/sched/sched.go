@@ -1,30 +1,36 @@
 // Package sched implements the controlled scheduler that stands in for
 // C11Tester's fibers (Sections 7.3–7.4 of the paper).
 //
-// Every thread of the program under test runs in a worker goroutine, but at
-// most one of them executes at a time: a thread runs until its next visible
+// Every thread of the program under test runs on a worker, but at most one
+// of them executes at a time: a thread runs until its next visible
 // operation, parks itself while handing the operation to the tool, and
 // resumes only when the tool replies. The tool (engine) therefore has full
 // control of the interleaving, exactly like C11Tester's fiber scheduler.
 //
-// Workers form a fiber pool: a Scheduler creates each worker goroutine once
-// and parks it between executions; NewThread re-binds a parked worker to a
-// fresh (name, body) instead of spawning a goroutine. Steady-state executions
-// therefore start zero goroutines and allocate nothing — the analogue of
-// C11Tester reusing its fiber stacks across executions rather than paying
-// thread creation per run (Section 7.3). Config.Respawn restores the
-// spawn-per-thread regime as a benchmark dimension.
+// Workers form a fiber pool: a Scheduler obtains each worker once and parks
+// it between executions; NewThread re-binds a parked worker to a fresh
+// (name, body) instead of starting one. Steady-state executions therefore
+// start zero goroutines and allocate nothing — the analogue of C11Tester
+// reusing its fiber stacks across executions rather than paying thread
+// creation per run (Section 7.3). Config.Respawn restores the
+// start-per-thread regime as a benchmark dimension.
 //
 // The handoff mechanism is configurable, mirroring the design space the
 // paper measures in Figure 14:
 //
-//   - channel handoff between ordinary goroutines (the default) is the
-//     analogue of swapcontext fibers — a cheap user-level switch;
-//   - condition-variable handoff ("cond") swaps the resume path for a
-//     sync.Cond, the pthread-condvar sequencing discipline on green threads;
+//   - coroutine handoff ("coro", the default) runs each worker as a pulled
+//     coroutine (iter.Pull): a handoff is a direct goroutine switch that
+//     bypasses the Go scheduler, the analogue of §7.3's swapcontext fibers;
 //   - condition-variable handoff between goroutines pinned to kernel threads
 //     ("osthread", LockOSThread) makes every handoff a real OS context
 //     switch, the regime tsan11rec operates in.
+//
+// Coroutine workers outlive their scheduler. A campaign builds a fresh tool,
+// and so a fresh Scheduler, every few executions, and pulling a coroutine
+// costs several allocations. Shutdown therefore hands its parked coro
+// workers to one process-wide idle list instead of ending them, and
+// NewThread adopts from that list before it pulls a new coroutine. The list
+// holds at most idleCap workers; Shutdown stops the ones beyond the cap.
 package sched
 
 import (
@@ -67,43 +73,49 @@ func (s State) String() string {
 // scheduler aborts the execution (step-limit hit or deadlock).
 type abortSignal struct{}
 
-// Config selects the handoff regime and the worker lifecycle. The named
-// Figure 14 regimes are the supported LockOSThread/CondHandoff combinations
-// (see ParseHandoff): LockOSThread without CondHandoff is not a named regime
-// and HandoffName does not distinguish it from "osthread".
+// Handoff selects how the tool and a program thread pass control to each
+// other (the Figure 14 regimes, see HandoffRegimes).
+type Handoff uint8
+
+const (
+	// Coro runs every worker as a pulled coroutine; the zero value, so the
+	// default.
+	Coro Handoff = iota
+	// OSThread pins every worker goroutine to its own kernel thread and
+	// resumes it through a sync.Cond, the analogue of pthread
+	// condition-variable sequencing, so each handoff costs a real OS context
+	// switch (the kernel-thread regime of tsan11rec).
+	OSThread
+)
+
+var handoffNames = [...]string{Coro: "coro", OSThread: "osthread"}
+
+// Config selects the handoff regime and the worker lifecycle.
 type Config struct {
-	// LockOSThread pins every program thread to its own kernel thread, so
-	// each handoff costs a real OS context switch (the kernel-thread regime
-	// of tsan11rec).
-	LockOSThread bool
-	// CondHandoff switches the resume path from an unbuffered channel to a
-	// sync.Cond, the analogue of pthread condition-variable sequencing.
-	CondHandoff bool
-	// Respawn disables the fiber pool: every NewThread starts a fresh
-	// goroutine that exits when its body returns, instead of re-binding a
-	// parked worker. This is the pre-pool regime, kept as a benchmark
-	// dimension of the Figure 14 handoff matrix (pooled vs respawn).
+	Handoff Handoff
+	// Respawn disables the fiber pool: every NewThread starts a fresh worker
+	// that exits when its body returns, instead of re-binding a parked
+	// worker. This is the pre-pool regime, kept as a benchmark dimension of
+	// the Figure 14 handoff matrix (pooled vs respawn).
 	Respawn bool
 }
 
 // HandoffRegimes lists the Figure 14 handoff regime names in the paper's
 // order: user-level switches first, full kernel-thread sequencing last.
-func HandoffRegimes() []string { return []string{"channel", "cond", "osthread"} }
+func HandoffRegimes() []string { return append([]string(nil), handoffNames[:]...) }
 
-// ParseHandoff maps a handoff regime name onto a scheduler configuration:
-// "channel" (or "") is the default channel handoff, "cond" condition-variable
-// handoff on green threads, "osthread" condition-variable handoff on pinned
-// kernel threads. The Respawn bit is orthogonal and left false.
+// ParseHandoff maps a handoff regime name onto a scheduler configuration;
+// "" is the default, "coro". The Respawn bit is orthogonal and left false.
 func ParseHandoff(name string) (Config, error) {
-	switch name {
-	case "", "channel":
+	if name == "" {
 		return Config{}, nil
-	case "cond":
-		return Config{CondHandoff: true}, nil
-	case "osthread":
-		return Config{LockOSThread: true, CondHandoff: true}, nil
 	}
-	return Config{}, fmt.Errorf("sched: unknown handoff regime %q (want channel, cond, or osthread)", name)
+	for h, n := range handoffNames {
+		if n == name {
+			return Config{Handoff: Handoff(h)}, nil
+		}
+	}
+	return Config{}, fmt.Errorf("sched: unknown handoff regime %q (want coro or osthread)", name)
 }
 
 // MustHandoff is ParseHandoff for already-validated names; it panics on an
@@ -116,22 +128,12 @@ func MustHandoff(name string) Config {
 	return cfg
 }
 
-// HandoffName renders a Config's handoff regime as its ParseHandoff name. It
-// is only an inverse of ParseHandoff for the named regimes (see Config);
-// hand-built hybrid configs collapse to the nearest name.
-func HandoffName(cfg Config) string {
-	switch {
-	case cfg.LockOSThread:
-		return "osthread"
-	case cfg.CondHandoff:
-		return "cond"
-	}
-	return "channel"
-}
+// HandoffName renders a Config's handoff regime as its ParseHandoff name.
+func HandoffName(cfg Config) string { return handoffNames[cfg.Handoff] }
 
 // Thread is one managed thread of the program under test. In pooled mode the
-// handle owns a persistent worker goroutine that serves one thread binding
-// per execution and parks between executions.
+// handle owns a persistent worker that serves one thread binding per
+// execution and parks between executions.
 type Thread struct {
 	ID   memmodel.TID
 	Name string
@@ -142,19 +144,24 @@ type Thread struct {
 
 	// body is the worker's current binding; NewThread sets it before waking
 	// the worker and the worker clears it when the binding finishes. A nil
-	// body at wakeup is the retirement sentinel (Shutdown).
+	// body at wakeup is the retirement sentinel of osthread workers
+	// (Shutdown).
 	body func(*Thread)
 
-	// dead marks a retired worker: its goroutine has exited (a non-abort
-	// panic escaped the body, or Shutdown retired it) and the handle must
-	// not be re-bound. Written by the worker before its finish event (or by
-	// Shutdown while the worker is parked), read by the tool goroutine after
-	// receiving that event — the events channel orders the two.
+	// dead marks a retired worker: it has exited (a non-abort panic escaped
+	// the body, or Shutdown retired it) and the handle must not be re-bound.
+	// Written by the worker before it settles (or by Shutdown while the
+	// worker is parked), read by the tool goroutine after the settle — the
+	// handoff orders the two.
 	dead bool
 
-	// Channel handoff.
-	replyCh chan struct{}
-	// Cond handoff.
+	// Coro handoff: next resumes the worker's coroutine until it settles,
+	// stop ends it while it is parked between bindings, and yield — called
+	// only on the coroutine — parks it.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// OSThread handoff.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	replied bool
@@ -172,7 +179,7 @@ func (t *Thread) State() State { return t.state }
 func (t *Thread) Pending() *capi.Op { return t.pending }
 
 // Call hands op to the tool and parks until the tool replies. It must be
-// called from t's own goroutine. If the execution is aborting, Call unwinds
+// called from t's own worker. If the execution is aborting, Call unwinds
 // the thread instead of returning.
 func (t *Thread) Call(op *capi.Op) {
 	if t.sched.aborting {
@@ -180,48 +187,43 @@ func (t *Thread) Call(op *capi.Op) {
 	}
 	t.pending = op
 	t.state = Ready
-	t.sched.events <- t
-	t.awaitReply()
+	if t.sched.cfg.Handoff == Coro {
+		t.yield(struct{}{})
+	} else {
+		t.sched.events <- t
+		t.awaitReply()
+	}
 	if t.sched.aborting {
 		panic(abortSignal{})
 	}
 }
 
+// awaitReply parks an osthread worker until signalReply wakes it.
 func (t *Thread) awaitReply() {
-	if t.sched.cfg.CondHandoff {
-		t.mu.Lock()
-		for !t.replied {
-			t.cond.Wait()
-		}
-		t.replied = false
-		t.mu.Unlock()
-		return
+	t.mu.Lock()
+	for !t.replied {
+		t.cond.Wait()
 	}
-	<-t.replyCh
+	t.replied = false
+	t.mu.Unlock()
 }
 
 func (t *Thread) signalReply() {
-	if t.sched.cfg.CondHandoff {
-		t.mu.Lock()
-		t.replied = true
-		t.cond.Signal()
-		t.mu.Unlock()
-		return
-	}
-	t.replyCh <- struct{}{}
+	t.mu.Lock()
+	t.replied = true
+	t.cond.Signal()
+	t.mu.Unlock()
 }
 
-// workerLoop is the body of a pooled worker goroutine: park until NewThread
-// binds a thread function, run it, and park again. The loop exits when the
-// binding signal carries no body (Shutdown) or when a non-abort panic escaped
-// the body — the goroutine's stack may then hold arbitrary half-unwound
-// program state, so it is retired rather than recycled (the tool observes
-// the retirement through Thread.PanicValue and the pool replaces the worker
-// on the next binding).
+// workerLoop is the body of a pooled osthread worker goroutine: park until
+// NewThread binds a thread function, run it, and park again. The loop exits
+// when the binding signal carries no body (Shutdown) or when a non-abort
+// panic escaped the body — the goroutine's stack may then hold arbitrary
+// half-unwound program state, so it is retired rather than recycled (the
+// tool observes the retirement through Thread.PanicValue and the pool
+// replaces the worker on the next binding).
 func (t *Thread) workerLoop() {
-	if t.sched.cfg.LockOSThread {
-		runtime.LockOSThread()
-	}
+	runtime.LockOSThread()
 	for {
 		t.awaitReply()
 		if t.body == nil {
@@ -233,19 +235,19 @@ func (t *Thread) workerLoop() {
 	}
 }
 
-// runRespawn is the body of a respawn-mode goroutine: one binding, then exit.
+// runRespawn is the body of a respawn-mode osthread goroutine: one binding,
+// then exit.
 func (t *Thread) runRespawn() {
-	if t.sched.cfg.LockOSThread {
-		runtime.LockOSThread()
-	}
+	runtime.LockOSThread()
 	t.runOnce()
 }
 
 // runOnce runs the worker's current binding to completion, converting an
 // abort unwind into a clean finish, and reports whether the worker must be
 // retired. Everything the tool goroutine may read — state, PanicValue, dead —
-// is written before the finish event is sent, so the events channel carries
-// the happens-before edge.
+// is written before the worker settles: by the finish event on the events
+// channel, or for a coro worker by its return to the worker loop, whose
+// yield (or, when retired, the coroutine's exit) ends the tool's next().
 func (t *Thread) runOnce() (retire bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -258,7 +260,9 @@ func (t *Thread) runOnce() (retire bool) {
 		t.body = nil
 		t.state = Finished
 		t.pending = nil
-		t.sched.events <- t
+		if t.sched.cfg.Handoff != Coro {
+			t.sched.events <- t
+		}
 	}()
 	t.body(t)
 	return
@@ -266,25 +270,25 @@ func (t *Thread) runOnce() (retire bool) {
 
 // Scheduler sequences the threads of one execution. One Scheduler instance
 // serves many executions in sequence: its fiber pool keeps one parked worker
-// goroutine per thread slot, and Reset + NewThread re-bind those workers (and
-// their handoff channels / condition variables) to the next execution's
-// threads, so steady-state executions start no goroutines and allocate
-// nothing.
+// per thread slot, and Reset + NewThread re-bind those workers (and their
+// coroutines or condition variables) to the next execution's threads, so
+// steady-state executions start no goroutines and allocate nothing.
 type Scheduler struct {
 	cfg      Config
 	threads  []*Thread
-	events   chan *Thread
+	events   chan *Thread // settle events; nil in the coro regime
 	aborting bool
 
-	// pool recycles Thread handles (and, in pooled mode, their worker
-	// goroutines) across executions; pool[i] serves TID i. All threads of
-	// the previous execution have settled as Finished by the time Reset
-	// hands a slot out again.
+	// pool recycles Thread handles (and, in pooled mode, their workers)
+	// across executions; pool[i] serves TID i. All threads of the previous
+	// execution have settled as Finished by the time Reset hands a slot out
+	// again.
 	pool []*Thread
 
-	// spawns counts goroutines started over the scheduler's lifetime. In
-	// pooled mode it stops growing once the pool covers the program's thread
-	// count — the tentpole invariant the fiber-pool tests pin.
+	// spawns counts the workers the scheduler obtained over its lifetime:
+	// goroutines or coroutines it started, plus coro workers it adopted from
+	// the idle list. In pooled mode it stops growing once the pool covers
+	// the program's thread count — the invariant the fiber-pool tests pin.
 	spawns int
 
 	// measureWait, when set, times every waitSettle park — the tool-side
@@ -299,9 +303,13 @@ type Scheduler struct {
 }
 
 // New returns a scheduler. The same instance is reused across executions via
-// Reset; call Shutdown when discarding it so the pooled workers exit.
+// Reset; call Shutdown when discarding it so the pooled workers are released.
 func New(cfg Config) *Scheduler {
-	return &Scheduler{cfg: cfg, events: make(chan *Thread)}
+	s := &Scheduler{cfg: cfg}
+	if cfg.Handoff != Coro {
+		s.events = make(chan *Thread)
+	}
+	return s
 }
 
 // Config returns the scheduler's configuration.
@@ -309,9 +317,8 @@ func (s *Scheduler) Config() Config { return s.cfg }
 
 // Reset prepares the scheduler for a new execution. It must only be called
 // after the previous execution fully ended (all threads Finished, via normal
-// completion or Abort); the events channel is empty and every pooled worker
-// is parked then, so the recycled scheduler starts from a clean handoff
-// state.
+// completion or Abort); every pooled worker is parked then, so the recycled
+// scheduler starts from a clean handoff state.
 func (s *Scheduler) Reset() {
 	s.threads = s.threads[:0]
 	s.aborting = false
@@ -365,68 +372,83 @@ func (s *Scheduler) WorkerCount() int {
 	return n
 }
 
-// Spawns returns the number of goroutines the scheduler has ever started. In
-// pooled mode it is constant across steady-state executions; in respawn mode
-// it grows by the thread count every execution.
+// Spawns returns the number of workers the scheduler has obtained — started
+// or, in the coro regime, adopted from the idle list. In pooled mode it is
+// constant across steady-state executions; in respawn mode it grows by the
+// thread count every execution.
 func (s *Scheduler) Spawns() int { return s.spawns }
 
 // NewThread creates a managed thread running body and blocks until it
 // settles (parks on its first operation, or finishes). body receives the
 // thread handle so the tool can wire up its Env.
 //
-// In pooled mode the thread is served by the slot's parked worker goroutine;
-// a goroutine (and its handoff channel or condition variable) is only
-// created when the slot is new or its previous worker was retired.
+// In pooled mode the thread is served by the slot's parked worker; a worker
+// is only obtained when the slot is new or its previous worker was retired.
 func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
 	var t *Thread
-	fresh := true
 	if idx < len(s.pool) && (s.cfg.Respawn || !s.pool[idx].dead) {
 		t = s.pool[idx]
-		t.ID = memmodel.TID(idx)
-		t.Name = name
-		t.state = Ready
-		t.pending = nil
-		t.PanicValue = nil
-		t.dead = false
-		fresh = false
 		// t.replied is deliberately not touched: every signal is consumed by
 		// the worker before it parks (Call, abort unwind, or retirement), so
 		// the flag is false here — and the worker may concurrently be taking
 		// t.mu to park, so only the signal protocol itself may write it.
 	} else {
-		t = &Thread{
-			ID:    memmodel.TID(idx),
-			Name:  name,
-			sched: s,
-		}
-		if s.cfg.CondHandoff {
-			t.cond = sync.NewCond(&t.mu)
-		} else {
-			t.replyCh = make(chan struct{})
-		}
+		t = s.worker()
 		if idx < len(s.pool) {
 			s.pool[idx] = t // replace a retired worker's handle
 		} else {
 			s.pool = append(s.pool, t)
 		}
 	}
+	t.ID = memmodel.TID(idx)
+	t.Name = name
+	t.state = Ready
+	t.pending = nil
+	t.PanicValue = nil
+	t.dead = false
 	s.threads = append(s.threads, t)
 	t.body = body
-	if s.cfg.Respawn {
-		s.spawns++
-		go t.runRespawn()
+	if !s.cfg.Respawn {
+		s.resume(t)
+		return t
+	}
+	s.spawns++
+	if s.cfg.Handoff == Coro {
+		t.pull(t.coroOnce)
 	} else {
-		if fresh {
-			s.spawns++
-			go t.workerLoop()
-		}
-		// Hand the binding to the parked worker. For a fresh worker the
-		// channel send simply waits until the goroutine reaches its first
-		// park; the cond path records the signal in the replied flag.
-		t.signalReply()
+		go t.runRespawn()
 	}
 	s.waitSettle(t)
+	return t
+}
+
+// worker obtains the handle for a new pool slot, or for a slot whose worker
+// was retired. In pooled mode it also obtains the worker and counts it as a
+// spawn: a coro worker is adopted from the idle list, or else pulled, and
+// runs its first binding on its first next(); an osthread worker goroutine
+// starts parked, awaiting its first binding.
+func (s *Scheduler) worker() *Thread {
+	if !s.cfg.Respawn {
+		s.spawns++
+		if s.cfg.Handoff == Coro {
+			if t := adopt(); t != nil {
+				t.sched = s
+				return t
+			}
+		}
+	}
+	t := &Thread{sched: s}
+	if s.cfg.Handoff == OSThread {
+		t.cond = sync.NewCond(&t.mu)
+	}
+	if !s.cfg.Respawn {
+		if s.cfg.Handoff == Coro {
+			t.pull(t.coroLoop)
+		} else {
+			go t.workerLoop()
+		}
+	}
 	return t
 }
 
@@ -447,24 +469,34 @@ func (s *Scheduler) Reply(t *Thread) State {
 	}
 	t.pending = nil
 	t.state = Blocked // transient until the thread settles
-	t.signalReply()
-	s.waitSettle(t)
+	s.resume(t)
 	return t.state
 }
 
-// waitSettle consumes the next settle event, which must come from t: only
-// one program thread runs at a time, so no other thread can settle.
-func (s *Scheduler) waitSettle(t *Thread) {
-	var ev *Thread
-	if s.measureWait {
-		t0 := time.Now()
-		ev = <-s.events
-		s.waitNS += int64(time.Since(t0))
-	} else {
-		ev = <-s.events
+// resume wakes t's parked worker and blocks until t settles again.
+func (s *Scheduler) resume(t *Thread) {
+	if s.cfg.Handoff != Coro {
+		t.signalReply()
 	}
-	if ev != t {
+	s.waitSettle(t)
+}
+
+// waitSettle blocks until t settles. A coro worker settles by yielding (or
+// returning) to next(); an osthread worker sends t as the next settle event,
+// which must come from t: only one program thread runs at a time, so no
+// other thread can settle.
+func (s *Scheduler) waitSettle(t *Thread) {
+	var t0 time.Time
+	if s.measureWait {
+		t0 = time.Now()
+	}
+	if s.cfg.Handoff == Coro {
+		t.next()
+	} else if ev := <-s.events; ev != t {
 		panic(fmt.Sprintf("sched: thread %d settled while waiting for %d", ev.ID, t.ID))
+	}
+	if s.measureWait {
+		s.waitNS += int64(time.Since(t0))
 	}
 }
 
@@ -477,30 +509,32 @@ func (s *Scheduler) waitSettle(t *Thread) {
 func (s *Scheduler) Abort() {
 	s.aborting = true
 	for _, t := range s.threads {
-		if t.state == Finished {
-			continue
+		if t.state != Finished {
+			s.resume(t)
 		}
-		t.signalReply()
-		s.waitSettle(t)
 	}
 }
 
-// Shutdown retires every pooled worker goroutine. Like Reset, it must only
-// be called in the quiescent all-threads-finished state. The scheduler must
-// not run further executions afterwards; tools call it when an engine is
-// discarded so long-lived processes (campaign runners) do not accumulate
-// parked goroutines.
+// Shutdown releases every pooled worker: coro workers go to the idle list
+// (see release), osthread worker goroutines exit. Like Reset, it
+// must only be called in the quiescent all-threads-finished state. The
+// scheduler must not run further executions afterwards; tools call it when
+// an engine is discarded so long-lived processes (campaign runners) do not
+// accumulate parked workers.
 func (s *Scheduler) Shutdown() {
 	if !s.cfg.Respawn {
 		for _, t := range s.pool {
-			if t.dead {
-				continue
+			switch {
+			case t.dead:
+			case s.cfg.Handoff == Coro:
+				release(t)
+			default:
+				t.dead = true
+				t.body = nil
+				t.signalReply() // nil body: the worker exits its loop
 			}
-			t.dead = true
-			t.body = nil
-			t.signalReply() // nil body: the worker exits its loop
 		}
 	}
-	s.pool = s.pool[:0]
-	s.threads = s.threads[:0]
+	s.pool = nil
+	s.threads = nil
 }

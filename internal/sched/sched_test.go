@@ -13,6 +13,7 @@ import (
 func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
 	t.Helper()
 	s := New(cfg)
+	defer s.Shutdown()
 	var processed []memmodel.Kind
 	s.NewThread("main", body)
 	for {
@@ -54,15 +55,36 @@ func TestSingleThreadOpsInOrder(t *testing.T) {
 	}
 }
 
-func TestCondHandoffAndOSThreads(t *testing.T) {
-	for _, cfg := range []Config{{CondHandoff: true}, {LockOSThread: true}, {CondHandoff: true, LockOSThread: true}} {
-		got := drive(t, cfg, func(th *Thread) {
-			th.Call(&capi.Op{Kind: memmodel.KLoad})
-			th.Call(&capi.Op{Kind: memmodel.KStore})
-		}, first)
-		if len(got) != 2 {
-			t.Fatalf("cfg %+v: processed %d ops", cfg, len(got))
+// TestEveryHandoffRegime runs a thread through every Figure 14 handoff
+// regime, pooled and respawning: each must deliver both ops in order.
+func TestEveryHandoffRegime(t *testing.T) {
+	for _, name := range HandoffRegimes() {
+		for _, respawn := range []bool{false, true} {
+			cfg := MustHandoff(name)
+			cfg.Respawn = respawn
+			got := drive(t, cfg, func(th *Thread) {
+				th.Call(&capi.Op{Kind: memmodel.KLoad})
+				th.Call(&capi.Op{Kind: memmodel.KStore})
+			}, first)
+			if len(got) != 2 || got[0] != memmodel.KLoad || got[1] != memmodel.KStore {
+				t.Fatalf("%s respawn=%v: processed %v", name, respawn, got)
+			}
 		}
+	}
+}
+
+func TestParseHandoff(t *testing.T) {
+	for _, name := range HandoffRegimes() {
+		cfg, err := ParseHandoff(name)
+		if err != nil || HandoffName(cfg) != name {
+			t.Errorf("ParseHandoff(%q) = %+v, %v; name round trip %q", name, cfg, err, HandoffName(cfg))
+		}
+	}
+	if cfg, err := ParseHandoff(""); err != nil || HandoffName(cfg) != "coro" {
+		t.Errorf("default regime = %q, %v; want coro", HandoffName(cfg), err)
+	}
+	if _, err := ParseHandoff("cond"); err == nil {
+		t.Error("ParseHandoff accepted the removed cond regime")
 	}
 }
 
@@ -155,8 +177,8 @@ func TestPanicCaptured(t *testing.T) {
 // every handoff regime. Respawn mode, by contrast, spawns per thread per
 // execution.
 func TestFiberPoolReusesWorkers(t *testing.T) {
-	regimes := []Config{{}, {CondHandoff: true}, {CondHandoff: true, LockOSThread: true}}
-	for _, cfg := range regimes {
+	for _, name := range HandoffRegimes() {
+		cfg := MustHandoff(name)
 		s := New(cfg)
 		runOnce := func() {
 			for i := 0; i < 3; i++ {
@@ -188,7 +210,7 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 			t.Errorf("%s: worker count after shutdown = %d, want 0", HandoffName(cfg), got)
 		}
 
-		s = New(Config{CondHandoff: cfg.CondHandoff, LockOSThread: cfg.LockOSThread, Respawn: true})
+		s = New(Config{Handoff: cfg.Handoff, Respawn: true})
 		runOnce()
 		s.Reset()
 		runOnce()
