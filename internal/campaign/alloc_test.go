@@ -74,15 +74,15 @@ func testZeroAllocSteadyState(t *testing.T, rngSource string) {
 				dur := time.Since(t0)
 				met.ObserveExec(dur, eng)
 				d := obs.ExecDigest{Index: int(seed), NS: int64(dur),
-					NewRace: len(res.NewRaces) > 0}
+					NewRace: len(res.Races) > 0}
 				if eng != nil {
 					st := eng.ExecStats()
 					d.Steps, d.Choices = st.Steps, st.Choices
 				}
 				fr.Check(d)
 			}
-			// Warm the pools across several seeds so capacity growth and the
-			// race-dedup map are settled before measuring.
+			// Warm the pools across several seeds so capacity growth is
+			// settled before measuring.
 			for seed := int64(1); seed <= 6; seed++ {
 				run(seed)
 			}

@@ -20,9 +20,13 @@
 // Under the uniform policy, shards — contiguous execution-index ranges of
 // one cell — are the unit of work; under an adaptive policy the unit is a
 // whole-cell grant, run chunk-by-chunk with convergence checks between
-// chunks. Either way each unit constructs a fresh tool instance from its
-// ToolSpec factory (tool instances are stateful and not goroutine-safe) and
-// runs its execution indices serially, folding them into a CellState.
+// chunks. Either way a unit runs its execution indices serially on its
+// worker's instance of the cell's tool, folding them into a CellState. Tool
+// instances are not goroutine-safe, but their results do not depend on what
+// they ran before (capi.Tool), so each worker keeps one instance per tool
+// for the whole campaign. Race novelty — which keys a unit sees first, the
+// c11_cell_races metric and the flight recorder's new_race trigger — is
+// decided by the unit's CellState, never by the tool.
 // Workers fold their units into one CellState per cell as they complete;
 // CellState.Merge is associative and commutative (sums, histogram unions,
 // and min-by-execution-index winners for reproduction metadata), so the fold
@@ -54,9 +58,10 @@ import (
 // ToolSpec names a tool and knows how to build fresh instances of it.
 type ToolSpec struct {
 	Name string
-	// New constructs a fresh tool instance. Each shard calls it once, so
-	// implementations must be safe to call concurrently (the instances
-	// themselves are confined to one worker).
+	// New constructs a fresh tool instance. Each campaign worker calls it at
+	// most once, on its first unit of this tool, so implementations must be
+	// safe to call concurrently (the instances themselves are confined to
+	// one worker).
 	New func() capi.Tool
 	// Baseline marks the tsan11-family tools, for which a litmus test's
 	// BaselineForbidden outcomes are forbidden in addition to Forbidden
@@ -75,8 +80,8 @@ type ToolSpec struct {
 type BenchmarkSpec struct {
 	Name string
 	// New builds a fresh program instance. Instances carry reusable state
-	// across executions (see structures.Benchmark), so each unit of work
-	// builds its own, exactly as it builds its own tool instance.
+	// across executions (see structures.Benchmark) and run one execution at
+	// a time, so each unit of work builds its own.
 	New func() capi.Program
 	// Signal selects which bug signal counts as a detection for this
 	// benchmark (races for the data-structure suite, assertion violations
@@ -326,6 +331,7 @@ func Run(spec Spec) *Summary {
 
 	ck := &ckState{path: spec.CheckpointPath, hook: spec.checkpointHook}
 	f := &fold{states: make([]CellState, len(spec.cellJobs()))}
+	p := newPool(spec)
 	var budgets []*BudgetSummary
 	_, uniform := spec.Policy.(explore.Uniform)
 	switch {
@@ -339,11 +345,12 @@ func Run(spec Spec) *Summary {
 			budgets = budgetsOf(spec, plans)
 		}
 	case uniform:
-		runUniform(spec, tel, f)
+		runUniform(spec, p, tel, f)
 		ck.save(spec, tel, 1, true, nil, f)
 	default:
-		budgets = runAdaptive(spec, tel, ck, f)
+		budgets = runAdaptive(spec, p, tel, ck, f)
 	}
+	p.close()
 
 	wall := time.Since(start)
 	var ms1 runtime.MemStats
@@ -391,24 +398,35 @@ func totalExecs(s *Summary) int {
 	return n
 }
 
-// runPool calls fn(i) for every i in [0, n) across the spec's worker pool.
-// fn runs concurrently; units fold their results through fold.add.
-func runPool(spec Spec, n int, fn func(i int)) {
+// pool is the campaign's worker pool. Worker w keeps tools[w], one tool
+// instance per Spec.Tools entry, for the whole campaign: an instance is
+// built on the worker's first unit of that tool and closed by close. A
+// campaign therefore builds at most Workers × len(Tools) tools.
+type pool struct {
+	spec  Spec
+	tools [][]capi.Tool
+}
+
+func newPool(spec Spec) *pool {
+	p := &pool{spec: spec, tools: make([][]capi.Tool, spec.Workers)}
+	for w := range p.tools {
+		p.tools[w] = make([]capi.Tool, len(spec.Tools))
+	}
+	return p
+}
+
+// run calls fn(w, i) for every i in [0, n) across the worker pool, where w
+// is the calling worker's index. fn runs concurrently; units fold their
+// results through fold.add.
+func (p *pool) run(n int, fn func(w, i int)) {
 	next := make(chan int)
 	var wg sync.WaitGroup
-	workers := spec.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
+	for w := range max(min(len(p.tools), n), 1) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -419,13 +437,34 @@ func runPool(spec Spec, n int, fn func(i int)) {
 	wg.Wait()
 }
 
+// tool returns worker w's instance of Spec.Tools[t], building it on first
+// use.
+func (p *pool) tool(w, t int) capi.Tool {
+	tools := p.tools[w]
+	if tools[t] == nil {
+		tools[t] = p.spec.Tools[t].New()
+	}
+	return tools[t]
+}
+
+// close closes every tool the pool's workers built.
+func (p *pool) close() {
+	for _, tools := range p.tools {
+		for _, t := range tools {
+			if t != nil {
+				closeTool(t)
+			}
+		}
+	}
+}
+
 // runUniform is the fixed-budget path: every cell is split into shards of
 // ShardSize executions, and shards are distributed over the worker pool. The
 // whole pass is one telemetry wave. Under Spec.Shard, each cell's chunk
 // sequence is dealt round-robin and only this shard's deal is run — the K
 // shard runs partition the exact job set of the unsharded run, which is what
 // makes the merged artifact byte-identical to it.
-func runUniform(spec Spec, tel *Telemetry, f *fold) {
+func runUniform(spec Spec, p *pool, tel *Telemetry, f *fold) {
 	var jobs []job
 	for _, c := range spec.cellJobs() {
 		ord := 0
@@ -438,11 +477,11 @@ func runUniform(spec Spec, tel *Telemetry, f *fold) {
 		}
 	}
 	tel.waveStart(1, len(jobs))
-	runPool(spec, len(jobs), func(i int) {
+	p.run(len(jobs), func(w, i int) {
 		tel.unitStart(1, jobs[i], jobs[i].hi-jobs[i].lo)
-		r := newCellRunner(spec, jobs[i])
+		r := newCellRunner(spec, jobs[i], p.tool(w, jobs[i].tool))
 		r.run(jobs[i].lo, jobs[i].hi, nil)
-		r.close()
+		r.release()
 		tel.unitDone(1, jobs[i], &r.st, r.captures)
 		f.add(spec, r)
 	})
@@ -490,7 +529,7 @@ func budgetsOf(spec Spec, plans []*cellPlan) []*BudgetSummary {
 // or every cell converged. The total never exceeds Runs × cells, and every
 // decision happens at a barrier from per-cell-deterministic state, so the
 // result is independent of the worker count.
-func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, f *fold) []*BudgetSummary {
+func runAdaptive(spec Spec, p *pool, tel *Telemetry, ck *ckState, f *fold) []*BudgetSummary {
 	chunk := spec.Policy.Chunk()
 	if chunk <= 0 || chunk > spec.Runs {
 		chunk = spec.Runs
@@ -519,11 +558,11 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, f *fold) []*BudgetSumma
 		for i, g := range grants {
 			waveJobs[i] = job{kind: g.plan.kind, tool: g.plan.tool, cell: g.plan.cell, lo: g.plan.used}
 		}
-		runPool(spec, len(grants), func(i int) {
+		p.run(len(grants), func(w, i int) {
 			tel.unitStart(wave, waveJobs[i], grants[i].budget)
-			r := newCellRunner(spec, waveJobs[i])
+			r := newCellRunner(spec, waveJobs[i], p.tool(w, waveJobs[i].tool))
 			used := r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, grants[i].plan.tracker)
-			r.close()
+			r.release()
 			waveJobs[i].hi = waveJobs[i].lo + used
 			tel.unitDone(wave, waveJobs[i], &r.st, r.captures)
 			f.add(spec, r)
@@ -602,6 +641,9 @@ type execCtx struct {
 	// hit marks executions owed a recorded trace: a detection signal, a
 	// race, or a forbidden outcome (the signal stage computes it).
 	hit bool
+	// newRaces counts the execution's race keys the unit had not seen
+	// before (the signal stage computes it).
+	newRaces int
 	// abort marks the execution's model state untrustworthy (an infeasible
 	// modification-order lifting): later stages that would lift it again
 	// are skipped.
@@ -622,7 +664,7 @@ type cellAnalyzer struct {
 	ix int
 }
 
-// cellRunner executes a range of one cell's executions with a fresh tool
+// cellRunner executes a range of one cell's executions on its worker's tool
 // instance, folding results into its state.
 type cellRunner struct {
 	spec Spec
@@ -650,12 +692,16 @@ type cellRunner struct {
 	// is unarmed.
 	fr *obs.FlightRecorder
 
-	// Engine plumbing (trace duties, guided exploration).
-	eng    *core.Engine
-	mo     core.MOProvider
-	rec    *trace.Recorder
-	pg     *trace.PrefixGuide
-	guides []*trace.Trace
+	// Engine plumbing (trace duties, guided exploration). strategy0 and
+	// trace0 are the engine's strategy and trace setting as the unit found
+	// them; release puts them back.
+	eng       *core.Engine
+	mo        core.MOProvider
+	rec       *trace.Recorder
+	pg        *trace.PrefixGuide
+	guides    []*trace.Trace
+	strategy0 core.Strategy
+	trace0    bool
 
 	// analyzers are the cell's analysis plug-in instances (cell-confined;
 	// see analysis.Analyzer), minus the ones this cell's tool cannot feed;
@@ -670,9 +716,8 @@ type cellRunner struct {
 	out   string        // litmus outcome cell
 }
 
-func newCellRunner(spec Spec, j job) *cellRunner {
-	r := &cellRunner{spec: spec, j: j}
-	r.tool = spec.Tools[j.tool].New()
+func newCellRunner(spec Spec, j job, tool capi.Tool) *cellRunner {
+	r := &cellRunner{spec: spec, j: j, tool: tool}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -685,6 +730,7 @@ func newCellRunner(spec Spec, j job) *cellRunner {
 	r.eng, _ = r.tool.(*core.Engine)
 	if r.eng != nil {
 		r.mo, _ = r.eng.Model().(core.MOProvider)
+		r.strategy0, r.trace0 = r.eng.Strategy(), r.eng.Config().Trace
 	}
 	if spec.Telemetry != nil {
 		r.met = spec.Telemetry.cellMetrics(j)
@@ -783,18 +829,25 @@ func newCellRunner(spec Spec, j job) *cellRunner {
 
 func (r *cellRunner) programName() string { return r.spec.programName(r.j) }
 
-// closeTool releases a tool instance: engines release their fiber-pool
-// workers (core.Engine.Close) to the scheduler's bounded idle list or end
-// them, so long-lived processes do not accumulate parked goroutines across
-// the many tool instances campaigns and perf runs construct.
+// closeTool releases a tool instance: engines end their fiber-pool workers
+// (core.Engine.Close), so long-lived processes do not accumulate parked
+// goroutines across the tool instances campaigns and perf runs construct.
 func closeTool(t capi.Tool) {
 	if c, ok := t.(interface{ Close() }); ok {
 		c.Close()
 	}
 }
 
-// close releases the runner's tool instance once its unit of work is done.
-func (r *cellRunner) close() { closeTool(r.tool) }
+// release ends the unit: it puts back the engine's strategy and trace
+// setting as newCellRunner found them, undoing the PrefixGuide and Recorder
+// wrapping and the trace duties, so the worker's next unit on this tool
+// starts from the tool's own configuration.
+func (r *cellRunner) release() {
+	if r.eng != nil {
+		r.eng.SetStrategy(r.strategy0)
+		r.eng.SetTrace(r.trace0)
+	}
+}
 
 // recordFailure folds one aborted execution into the state.
 func (r *cellRunner) recordFailure(i int, err string) {
@@ -869,9 +922,6 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	r.st.Execs++
 	if r.met != nil {
 		r.met.ObserveExec(execDur, r.eng)
-		if len(res.NewRaces) > 0 {
-			r.met.Races.Add(uint64(len(res.NewRaces)))
-		}
 	}
 	if r.pg != nil {
 		depth, consumed, diverged := r.pg.Handoff()
@@ -891,10 +941,15 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	for _, st := range r.stages {
 		st(r)
 	}
-	if r.met != nil && r.x.obs.Detected {
-		r.met.Detected.Inc()
+	if r.met != nil {
+		if r.x.obs.Detected {
+			r.met.Detected.Inc()
+		}
+		if r.x.newRaces > 0 {
+			r.met.Races.Add(uint64(r.x.newRaces))
+		}
 	}
-	r.flightCheck(i, execDur, len(res.NewRaces) > 0, r.x.obs)
+	r.flightCheck(i, execDur, r.x.newRaces > 0, r.x.obs)
 	return r.x.obs
 }
 
@@ -907,7 +962,7 @@ func (r *cellRunner) stageBench() {
 		r.st.Detected++
 	}
 	r.addOps(res)
-	recordRaces(&r.st, res, i)
+	r.x.newRaces = recordRaces(&r.st, res, i)
 	r.x.hit = hit || len(res.Races) > 0
 	r.x.obs.Detected = hit
 }
@@ -919,7 +974,7 @@ func (r *cellRunner) stageLitmus() {
 	r.addOps(res)
 	// Litmus programs only touch shared state atomically, so any race
 	// here is a detector soundness bug, not a finding.
-	recordRaces(&r.st, res, i)
+	r.x.newRaces = recordRaces(&r.st, res, i)
 	forbidden := false
 	if r.out != "" {
 		r.st.Outcomes = bump(r.st.Outcomes, r.out)
@@ -1103,17 +1158,23 @@ func raceKeysOf(res *capi.Result) []string {
 
 // recordRaces folds an execution's races into the state, keeping the
 // earliest execution index per race key (within one execution, the first
-// report of a key).
-func recordRaces(st *CellState, res *capi.Result, run int) {
+// report of a key). It returns how many of the execution's keys the state
+// had not seen: for a unit's own state, the keys new to the unit.
+func recordRaces(st *CellState, res *capi.Result, run int) (fresh int) {
 	for _, r := range res.Races {
 		key := r.Key()
-		if hit, seen := st.Races[key]; !seen || run < hit.Run {
+		hit, seen := st.Races[key]
+		if !seen {
+			fresh++
+		}
+		if !seen || run < hit.Run {
 			if st.Races == nil {
 				st.Races = map[string]Hit{}
 			}
 			st.Races[key] = Hit{Desc: r.String(), Run: run}
 		}
 	}
+	return fresh
 }
 
 // addOps folds an execution's operation counts into the state.

@@ -1,13 +1,12 @@
 // capture.go wires the obs flight recorder (internal/obs/forensics.go) into
-// the campaign runner. Each unit of work carries its own recorder — the unit
-// set is a pure function of the spec, so trigger decisions (and therefore the
-// capture set) are identical for workers=1 and workers=K. A granted trigger
-// re-runs the exact seed on a *fresh* tool instance with a trace.Recorder
-// attached: re-executing on the campaign's own engine would perturb its
-// race-dedup state and change NewRaces for the unit's later executions, and
-// keeping the capture off the campaign engine is also what keeps the hot path
-// at 0 B / 0 obj — the per-execution cost of an armed recorder is one digest
-// build and one allocation-free ring check.
+// the campaign runner. Each unit of work carries its own recorder and its own
+// race state — the unit set is a pure function of the spec, so trigger
+// decisions (and therefore the capture set) are identical for workers=1 and
+// workers=K. A granted trigger re-runs the exact seed on the unit's own
+// engine with a trace.Recorder attached; tool results are pure functions of
+// (program, seed), so the re-run changes nothing the unit observes later.
+// The per-execution cost of an armed recorder is one digest build and one
+// allocation-free ring check, which keeps the hot path at 0 B / 0 obj.
 package campaign
 
 import (
@@ -83,7 +82,7 @@ func (r *cellRunner) capture(trig obs.Trigger, d obs.ExecDigest, raceKeys []stri
 			Seed: seed, Litmus: r.j.kind == jobLitmus,
 			Flags: toolSpec.ReproFlags}.Command(),
 	}
-	file, err := captureTrace(spec, r.j, seed)
+	file, err := r.captureTrace(d.Index)
 	if err != nil {
 		rec.Err = err.Error()
 		r.st.CaptureErrs++
@@ -94,58 +93,50 @@ func (r *cellRunner) capture(trig obs.Trigger, d obs.ExecDigest, raceKeys []stri
 	r.captures = append(r.captures, rec)
 }
 
-// captureTrace re-runs one seed with a trace recorder attached and writes the
-// portable trace into the capture directory, returning its file name. The
-// re-run builds a fresh tool and program through the same wiring as a
-// campaign unit (guides included), minus the campaign duties: executions are
-// pure functions of (tool, program, seed), so the re-run reproduces exactly
-// the execution the recorder flagged.
-func captureTrace(spec Spec, j job, seed int64) (string, error) {
-	sub := spec
-	sub.Telemetry = nil
-	sub.RecordDir = ""
-	sub.RecordAll = false
-	sub.ValidateAxioms = false
-	sub.Analyzers = nil
-	sub.CaptureDir = "" // no recursive recorders
-	sub.CheckpointPath = ""
-	sub.Resume = nil
-	sub.checkpointHook = nil
-	sub.Shard = ShardSel{}
-	cr := newCellRunner(sub, j)
-	defer cr.close()
-	if cr.eng == nil {
-		return "", fmt.Errorf("tool %s cannot record traces (not an engine)", spec.Tools[j.tool].Name)
+// captureTrace re-runs execution i on the unit's engine with a trace
+// recorder attached and writes the portable trace into the capture
+// directory, returning its file name. Executions are pure functions of
+// (tool, program, seed), so the re-run reproduces exactly the execution the
+// recorder flagged. It runs right after execution i, whose guide schedule
+// is still installed. The engine's strategy and trace setting are restored
+// afterwards.
+func (r *cellRunner) captureTrace(i int) (string, error) {
+	spec := r.spec
+	toolSpec := spec.Tools[r.j.tool]
+	if r.eng == nil {
+		return "", fmt.Errorf("tool %s cannot record traces (not an engine)", toolSpec.Name)
 	}
-	rec := trace.NewRecorder(cr.eng.Strategy())
-	cr.eng.SetStrategy(rec)
-	if cr.mo != nil {
-		cr.eng.SetTrace(true)
+	strategy, traceOn := r.eng.Strategy(), r.eng.Config().Trace
+	defer func() {
+		r.eng.SetStrategy(strategy)
+		r.eng.SetTrace(traceOn)
+	}()
+	rec := trace.NewRecorder(strategy)
+	r.eng.SetStrategy(rec)
+	if r.mo != nil {
+		r.eng.SetTrace(true)
 	}
-	i := int(seed - spec.SeedBase)
-	if cr.pg != nil {
-		cr.pg.SetSchedule(cr.guides[i%len(cr.guides)].Schedule)
+	if r.test != nil {
+		r.out = ""
 	}
-	if cr.test != nil {
-		cr.out = ""
-	}
-	res := cr.tool.Execute(cr.prog, seed)
+	seed := spec.SeedBase + int64(i)
+	res := r.tool.Execute(r.prog, seed)
 	if res.EngineError != nil {
 		return "", fmt.Errorf("capture re-run aborted: %v", res.EngineError)
 	}
-	meta := trace.Meta{Tool: spec.Tools[j.tool].TraceConfig, Program: cr.programName(),
-		Litmus: cr.test != nil, Seed: seed, Outcome: cr.out}
+	meta := trace.Meta{Tool: toolSpec.TraceConfig, Program: r.programName(),
+		Litmus: r.test != nil, Seed: seed, Outcome: r.out}
 	var tr *trace.Trace
 	var err error
 	if ie := core.RecoverInfeasible(func() {
-		tr, err = trace.Record(cr.eng, res, rec.Schedule(), meta)
+		tr, err = trace.Record(r.eng, res, rec.Schedule(), meta)
 	}); ie != nil {
 		return "", fmt.Errorf("capture lifting infeasible: %v", ie)
 	}
 	if err != nil {
 		return "", err
 	}
-	name := trace.FileName(spec.Tools[j.tool].Name, cr.programName(), seed)
+	name := trace.FileName(toolSpec.Name, r.programName(), seed)
 	if err := tr.WriteFile(filepath.Join(spec.CaptureDir, name)); err != nil {
 		return "", err
 	}

@@ -37,16 +37,27 @@ func captureSpec(t *testing.T, workers int, dir string, tel *Telemetry) Spec {
 }
 
 // TestCaptureDeterminismUnderSharding extends the workers=1 ≡ workers=K
-// byte-identity to the forensics layer: the capture manifest must be
-// byte-identical across worker counts, the event stream (including capture
-// and cell_converge_state events) identical after canonical ordering, and at
-// least one captured trace must replay exactly.
+// byte-identity to the forensics layer, under both the uniform and the
+// converge policy: the capture manifest must be byte-identical across worker
+// counts, the event stream (including capture events, and under converge
+// cell_converge_state events) identical after canonical ordering, and at
+// least one captured trace must replay exactly. Workers reuse one tool
+// instance across units, so the uniform policy's many short units also
+// catch race novelty leaking from one unit into the next.
 func TestCaptureDeterminismUnderSharding(t *testing.T) {
+	t.Run("uniform", func(t *testing.T) { testCaptureDeterminism(t, explore.Uniform{}) })
+	t.Run("converge", func(t *testing.T) { testCaptureDeterminism(t, explore.Converge{}) })
+}
+
+func testCaptureDeterminism(t *testing.T, policy explore.Policy) {
+	_, converge := policy.(explore.Converge)
 	run := func(workers int) (*Summary, []byte, string, []byte) {
 		dir := t.TempDir()
 		var buf bytes.Buffer
 		tel := NewTelemetry(TelemetryOptions{EventSink: &buf})
-		sum := Run(captureSpec(t, workers, dir, tel))
+		spec := captureSpec(t, workers, dir, tel)
+		spec.Policy = policy
+		sum := Run(spec)
 		man, err := os.ReadFile(filepath.Join(dir, obs.ManifestFileName))
 		if err != nil {
 			t.Fatalf("workers=%d: no manifest: %v", workers, err)
@@ -81,7 +92,7 @@ func TestCaptureDeterminismUnderSharding(t *testing.T) {
 	if types["capture"] == 0 {
 		t.Errorf("no capture events in stream (types: %v)", types)
 	}
-	if types["cell_converge_state"] == 0 {
+	if converge && types["cell_converge_state"] == 0 {
 		t.Errorf("no cell_converge_state events in stream (types: %v)", types)
 	}
 

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -191,5 +192,81 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// resultView is everything one execution reports: the whole capi.Result
+// (report slices copied, empty ones as nil), the litmus outcome, and the
+// engine's step and choice counts.
+type resultView struct {
+	Res            capi.Result
+	Outcome        string
+	Steps, Choices uint64
+}
+
+func viewOf(tool capi.Tool, res *capi.Result, outcome string) resultView {
+	v := resultView{Res: *res, Outcome: outcome}
+	v.Res.Races = append([]capi.RaceReport(nil), res.Races...)
+	v.Res.AssertFailures = append([]capi.AssertFailure(nil), res.AssertFailures...)
+	v.Res.Blocks = append([]capi.BlockSpan(nil), res.Blocks...)
+	if eng, ok := tool.(*core.Engine); ok {
+		st := eng.ExecStats()
+		v.Steps, v.Choices = st.Steps, st.Choices
+	}
+	return v
+}
+
+// TestToolReuseIsPure pins the capi.Tool contract campaign workers rely on
+// when they keep one tool instance for every unit they run: a Result is a
+// pure function of (program, seed). One instance per standard tool runs
+// every litmus test and benchmark, interleaved, over several seeds, and each
+// execution must report exactly what a fresh instance reports for it.
+func TestToolReuseIsPure(t *testing.T) {
+	benches, err := SelectBenchmarks("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lits, err := SelectLitmus("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		name string
+		prog func(out *string) capi.Program
+	}
+	var cells []cell
+	for _, b := range benches {
+		cells = append(cells, cell{b.Name, func(*string) capi.Program { return b.New() }})
+	}
+	for _, l := range lits {
+		cells = append(cells, cell{l.Name, l.Make})
+	}
+	for _, name := range StandardToolNames() {
+		spec, err := StandardTool(name, ToolOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := spec.New()
+		outs := make([]string, len(cells))
+		progs := make([]capi.Program, len(cells))
+		for c := range cells {
+			progs[c] = cells[c].prog(&outs[c])
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			for c, cl := range cells {
+				outs[c] = ""
+				got := viewOf(shared, shared.Execute(progs[c], seed), outs[c])
+
+				var out string
+				fresh := spec.New()
+				want := viewOf(fresh, fresh.Execute(cl.prog(&out), seed), out)
+				closeTool(fresh)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s seed %d: reused instance reported\n%+v\nfresh instance reported\n%+v",
+						name, cl.name, seed, got, want)
+				}
+			}
+		}
+		closeTool(shared)
 	}
 }

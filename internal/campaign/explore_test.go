@@ -16,9 +16,11 @@ import (
 // Converge parameters: ms-queue races unconditionally, seqlock's rate is
 // stable, and the two litmus tests have small, quickly-saturated outcome
 // histograms. The convergence-timing assertions downstream (which race keys
-// surface within a budget, which cells converge early) are statistical
-// coincidences of one specific decision stream, so the spec pins the legacy
-// rng source — the stream they were tuned against.
+// surface within a budget, which cells converge early) hold for this
+// (stream, seed base) pair by coincidence, not because the legacy stream is
+// special: over seed bases 1001, 2001, …, 40001, converge reproduces the
+// uniform race set in 17 of 40 bases on legacy and 22 of 40 on pcg, and
+// the key it misses is always tsan11's msq.len/na-load/na-store.
 func convergeSpec(t *testing.T, workers, shardSize int, policy explore.Policy) Spec {
 	return Spec{
 		Tools: []ToolSpec{
@@ -121,8 +123,10 @@ func TestConvergeReproducesUniformVerdictsAtLowerBudget(t *testing.T) {
 // budget, keep the total at the uniform level, and mark only the converging
 // cell as such.
 func TestConvergeRedistributesFreedBudget(t *testing.T) {
-	// Pinned to the legacy stream like convergeSpec: which cell converges
-	// first is a property of the decision stream, not of the policy.
+	// Pinned to the legacy stream and seed base 1 like convergeSpec. Which
+	// cell converges first is a property of the (stream, seed base) pair,
+	// not of the policy: over seed bases 1001, 2001, …, 40001, SB+sc
+	// converges early in 28 of 40 bases on legacy and 25 of 40 on pcg.
 	spec := Spec{
 		Tools:    []ToolSpec{mustTool(t, "c11tester", ToolOptions{RNG: "legacy"})},
 		Litmus:   []*litmus.Test{mustLitmus(t, "SB+sc"), mustLitmus(t, "IRIW+acq")},

@@ -595,16 +595,6 @@ func (s *Summary) AxiomViolations() int {
 	return n
 }
 
-// FindingCount returns the total number of distinct analyzer findings across
-// all tools (schema v7).
-func (s *Summary) FindingCount() int {
-	n := 0
-	for _, ts := range s.Tools {
-		n += len(ts.Findings)
-	}
-	return n
-}
-
 // EngineFailures returns the total number of executions the tools themselves
 // aborted (infeasible memory-model states), across all tools.
 func (s *Summary) EngineFailures() int {

@@ -29,7 +29,7 @@ var (
 type CellMetrics struct {
 	Execs    *obs.Counter
 	Detected *obs.Counter
-	Races    *obs.Counter // race reports first seen by the unit's tool instance
+	Races    *obs.Counter // race keys first seen in their unit of work
 	Failures *obs.Counter
 
 	ExecNS    *obs.Histogram
@@ -213,7 +213,7 @@ func (t *Telemetry) bind(spec Spec) {
 		m := &CellMetrics{
 			Execs:     t.reg.Counter("c11_cell_execs_total", "executions completed", lt, lp),
 			Detected:  t.reg.Counter("c11_cell_detected_total", "executions that hit the cell's detection signal", lt, lp),
-			Races:     t.reg.Counter("c11_cell_races_total", "race reports first seen by a unit's tool instance", lt, lp),
+			Races:     t.reg.Counter("c11_cell_races_total", "race keys first seen in a unit of work, summed over units", lt, lp),
 			Failures:  t.reg.Counter("c11_cell_failures_total", "executions the tool aborted (infeasible model state)", lt, lp),
 			ExecNS:    t.reg.Histogram("c11_cell_exec_ns", "wall time per execution (ns)", nsBuckets, lt, lp),
 			SchedLen:  t.reg.Histogram("c11_cell_sched_len", "schedule length (visible operations) per execution", stepsBuckets, lt, lp),

@@ -132,15 +132,14 @@ type Program struct {
 	Run  func(Env)
 }
 
-// RaceReport describes one data race. Tools deduplicate reports across
-// executions (Section 7.6), keyed by Key().
+// RaceReport describes one data race. A campaign reports each race once
+// (Section 7.6): it deduplicates reports across executions by Key().
 type RaceReport struct {
 	LocName   string
 	PriorKind memmodel.Kind // the older access
 	Kind      memmodel.Kind // the access that completed the race
 	PriorTID  memmodel.TID
 	TID       memmodel.TID
-	Execution int // execution index (0-based) in which the race was first seen
 }
 
 // Key identifies a race for cross-execution deduplication.
@@ -155,9 +154,8 @@ func (r RaceReport) String() string {
 
 // AssertFailure describes one failed Env.Assert.
 type AssertFailure struct {
-	TID       memmodel.TID
-	Message   string
-	Execution int
+	TID     memmodel.TID
+	Message string
 }
 
 func (a AssertFailure) String() string {
@@ -193,7 +191,7 @@ func (s *OpStats) Add(other OpStats) {
 //
 // Ownership: tools recycle one Result per instance across executions (the
 // engine resets it in place via Reset), so a Result returned by Execute —
-// including its Races/NewRaces/AssertFailures/Blocks backing arrays — is only
+// including its Races/AssertFailures/Blocks backing arrays — is only
 // valid until the same tool's next Execute call. Consumers that keep anything
 // past that point must copy it (the report values themselves are plain
 // values; copying an element or appending it to a consumer-owned slice is
@@ -202,11 +200,8 @@ func (s *OpStats) Add(other OpStats) {
 // Result must be cleared by Reset — TestResetZeroesEveryContainerField
 // enforces this reflectively.
 type Result struct {
-	// Races holds the races observed during this execution (including ones
-	// seen in earlier executions of the same tool instance).
+	// Races holds the races observed during this execution.
 	Races []RaceReport
-	// NewRaces holds only races not reported by any earlier execution.
-	NewRaces []RaceReport
 	// AssertFailures holds assertion violations observed this execution.
 	AssertFailures []AssertFailure
 	// Deadlocked reports that the execution ended with all unfinished
@@ -239,7 +234,6 @@ func (r *Result) Buggy() bool {
 // it at the top of every execution; see the ownership rules above.
 func (r *Result) Reset() {
 	r.Races = r.Races[:0]
-	r.NewRaces = r.NewRaces[:0]
 	r.AssertFailures = r.AssertFailures[:0]
 	r.Blocks = r.Blocks[:0]
 	r.Deadlocked = false
@@ -249,8 +243,12 @@ func (r *Result) Reset() {
 }
 
 // Tool is a testing tool: something that can repeatedly execute a program
-// and report what it found. Implementations keep state across executions
-// (e.g. race deduplication, Section 7.6).
+// and report what it found. Execute's Result is a pure function of
+// (program, seed): it never depends on which executions the same instance
+// ran before. An implementation may keep only performance state (pools,
+// arenas) across executions, so one instance can serve any sequence of
+// programs and seeds. Deduplicating races across executions (Section 7.6)
+// is the caller's job.
 type Tool interface {
 	// Name returns the tool's short name ("c11tester", "tsan11", ...).
 	Name() string

@@ -30,13 +30,13 @@ func TestResultBuggy(t *testing.T) {
 
 func TestRaceReportKey(t *testing.T) {
 	r1 := RaceReport{LocName: "deque.buf3", PriorKind: memmodel.KNAStore,
-		Kind: memmodel.KNALoad, PriorTID: 0, TID: 2, Execution: 17}
-	// Key must not depend on which threads or execution exhibited the race:
-	// it is the cross-execution deduplication key (Section 7.6).
+		Kind: memmodel.KNALoad, PriorTID: 0, TID: 2}
+	// Key must not depend on which threads exhibited the race: it is the
+	// cross-execution deduplication key (Section 7.6).
 	r2 := r1
-	r2.PriorTID, r2.TID, r2.Execution = 5, 6, 99
+	r2.PriorTID, r2.TID = 5, 6
 	if r1.Key() != r2.Key() {
-		t.Fatalf("Key varies with thread/execution identity: %q vs %q", r1.Key(), r2.Key())
+		t.Fatalf("Key varies with thread identity: %q vs %q", r1.Key(), r2.Key())
 	}
 	// Distinct access pairs or locations must have distinct keys.
 	r3 := r1

@@ -157,12 +157,6 @@ type QuantumStrategy struct {
 	current   *ThreadState
 }
 
-// NewQuantumStrategy returns a QuantumStrategy with the given mean quantum,
-// on the default rng source.
-func NewQuantumStrategy(mean int) *QuantumStrategy {
-	return NewQuantumStrategyKind(rng.PCG, mean)
-}
-
 // NewQuantumStrategyKind returns a QuantumStrategy drawing from the given
 // rng source.
 func NewQuantumStrategyKind(k rng.Kind, mean int) *QuantumStrategy {
@@ -232,19 +226,13 @@ type MemModel interface {
 }
 
 // Engine runs programs under a MemModel with controlled scheduling. One
-// Engine instance is one "tool" in the paper's sense: it persists state
-// (race deduplication) across repeated executions (Section 7.6).
+// Engine instance is one "tool" in the paper's sense. Across executions it
+// keeps only performance state (pools, arenas, the scheduler's fiber pool),
+// so every Result is a pure function of (program, seed); see capi.Tool.
 type Engine struct {
 	cfg   Config
 	name  string
 	model MemModel
-
-	// Persistent tool state across executions. seenRaces is keyed by a
-	// comparable struct rather than RaceReport.Key()'s string so the
-	// per-conflict dedup check never formats (and never allocates) on the
-	// hot path.
-	seenRaces map[raceKey]struct{}
-	execIndex int
 
 	// Per-execution state.
 	sch     *sched.Scheduler
@@ -316,10 +304,9 @@ type Engine struct {
 // New returns an engine running the given memory model.
 func New(name string, model MemModel, cfg Config) *Engine {
 	return &Engine{
-		cfg:       cfg.withDefaults(),
-		name:      name,
-		model:     model,
-		seenRaces: map[raceKey]struct{}{},
+		cfg:   cfg.withDefaults(),
+		name:  name,
+		model: model,
 	}
 }
 
@@ -487,7 +474,6 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 		e.phases.End(PhaseRun)
 		e.result.EngineError = ie
 		e.sch.Abort()
-		e.execIndex++
 		res = e.result
 	}()
 
@@ -495,8 +481,6 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 	e.spawnThread("main", p.Run, nil)
 	e.loop()
 	e.phases.End(PhaseRun)
-
-	e.execIndex++
 	return e.result
 }
 
@@ -540,12 +524,11 @@ func (e *Engine) resetExecState(seed int64) {
 	e.model.Begin(e)
 }
 
-// Close releases the engine's scheduler workers (see sched.Shutdown), so
-// discarding a pooled engine does not leave parked goroutines behind in a
-// long-lived process beyond the scheduler's bounded idle list. Campaign
-// runners close every tool instance when its unit of work completes. Close
-// is idempotent; a later Execute transparently builds a fresh scheduler (and
-// pool) again.
+// Close ends the engine's scheduler workers (see sched.Shutdown), so
+// discarding a pooled engine leaves no parked goroutines behind in a
+// long-lived process. A campaign closes each worker's tools when the
+// campaign ends. Close is idempotent; a later Execute transparently builds
+// a fresh scheduler (and pool) again.
 func (e *Engine) Close() {
 	if e.sch != nil {
 		e.sch.Shutdown()
@@ -711,9 +694,8 @@ func (e *Engine) finishThread(ts *ThreadState) {
 	ts.finished = true
 	if ts.thr.PanicValue != nil {
 		e.result.AssertFailures = append(e.result.AssertFailures, capi.AssertFailure{
-			TID:       ts.ID,
-			Message:   fmt.Sprintf("panic in thread %q: %v", ts.Name, ts.thr.PanicValue),
-			Execution: e.execIndex,
+			TID:     ts.ID,
+			Message: fmt.Sprintf("panic in thread %q: %v", ts.Name, ts.thr.PanicValue),
 		})
 	}
 	// Wake joiners; their join ops re-dispatch and now succeed.
@@ -845,16 +827,7 @@ func (e *Engine) LocName(id memmodel.LocID) string {
 	return fmt.Sprintf("loc#%d", id)
 }
 
-// raceKey is the comparable form of capi.RaceReport.Key(): the cross-
-// execution race identity (location name, access-kind pair). Using a struct
-// map key keeps the per-conflict dedup lookup allocation-free.
-type raceKey struct {
-	loc         string
-	prior, kind memmodel.Kind
-}
-
-// reportConflicts converts race-detector conflicts on loc into reports,
-// deduplicating across executions (Section 7.6: races are reported once).
+// reportConflicts converts race-detector conflicts on loc into reports.
 func (e *Engine) reportConflicts(ts *ThreadState, l *locState, kind memmodel.Kind, conflicts []raceConflict) {
 	for _, c := range conflicts {
 		priorKind := memmodel.KNALoad
@@ -867,19 +840,12 @@ func (e *Engine) reportConflicts(ts *ThreadState, l *locState, kind memmodel.Kin
 				priorKind = memmodel.KStore
 			}
 		}
-		r := capi.RaceReport{
+		e.result.Races = append(e.result.Races, capi.RaceReport{
 			LocName:   l.name,
 			PriorKind: priorKind,
 			Kind:      kind,
 			PriorTID:  c.PriorTID,
 			TID:       ts.ID,
-			Execution: e.execIndex,
-		}
-		e.result.Races = append(e.result.Races, r)
-		k := raceKey{loc: l.name, prior: priorKind, kind: kind}
-		if _, seen := e.seenRaces[k]; !seen {
-			e.seenRaces[k] = struct{}{}
-			e.result.NewRaces = append(e.result.NewRaces, r)
-		}
+		})
 	}
 }

@@ -596,26 +596,6 @@ func TestVolatileTreatedAsAtomic(t *testing.T) {
 	}
 }
 
-func TestRaceDeduplicationAcrossExecutions(t *testing.T) {
-	tool := newTool(Config{})
-	prog := capi.Program{Name: "dedup", Run: func(env capi.Env) {
-		d := env.NewLoc("data", 0)
-		a := env.Spawn("A", func(env capi.Env) { env.Write(d, 1) })
-		env.Write(d, 2)
-		env.Join(a)
-	}}
-	newCount := 0
-	for seed := 0; seed < 20; seed++ {
-		newCount += len(tool.Execute(prog, int64(seed)).NewRaces)
-	}
-	if newCount == 0 {
-		t.Fatal("race never reported")
-	}
-	if newCount > 2 {
-		t.Errorf("race reported as new %d times; must be deduplicated across executions", newCount)
-	}
-}
-
 func TestConservativePruningBoundsMemoryAndKeepsSemantics(t *testing.T) {
 	model := NewC11Model()
 	cfg := Config{Prune: PruneConservative, PruneInterval: 256}

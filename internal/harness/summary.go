@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"time"
-
-	"c11tester/internal/capi"
 )
 
 // Repro identifies one execution — which tool ran which program with which
@@ -81,9 +79,4 @@ type RaceSummary struct {
 	Key         string `json:"key"`
 	Description string `json:"description"`
 	Repro       Repro  `json:"repro"`
-}
-
-// NewRaceSummary builds a RaceSummary from a report and its repro triple.
-func NewRaceSummary(r capi.RaceReport, repro Repro) RaceSummary {
-	return RaceSummary{Key: r.Key(), Description: r.String(), Repro: repro}
 }

@@ -27,8 +27,8 @@ type Trigger uint8
 const (
 	// TriggerNone: no anomaly; the digest was only archived in the ring.
 	TriggerNone Trigger = iota
-	// TriggerNewRace: the execution reported a race key not seen before by
-	// this tool instance (Result.NewRaces non-empty).
+	// TriggerNewRace: the execution reported a race key its unit of work had
+	// not seen before (the campaign's per-unit race state decides).
 	TriggerNewRace
 	// TriggerInfeasible: the engine aborted with a core.InfeasibleError.
 	TriggerInfeasible
@@ -69,7 +69,8 @@ type ExecDigest struct {
 	// Steps is the schedule length; Choices the strategy-decision count.
 	Steps   uint64
 	Choices uint64
-	// NewRace marks an execution that reported a first-seen race key.
+	// NewRace marks an execution that reported a race key first seen in its
+	// unit of work.
 	NewRace bool
 	// Infeasible marks an execution aborted by core.InfeasibleError.
 	Infeasible bool

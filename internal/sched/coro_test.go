@@ -10,17 +10,8 @@ import (
 	"c11tester/internal/memmodel"
 )
 
-// drainIdle stops every idle coro worker, so a test starts from an empty
-// idle list and a goroutine count that excludes parked coroutines.
-func drainIdle() {
-	for t := adopt(); t != nil; t = adopt() {
-		t.stop()
-	}
-}
-
-// coroGoroutines counts the goroutines that run a pooled coro worker — the
-// goroutines the idle list keeps alive — from a dump of every goroutine's
-// stack. runtime.NumGoroutine would also count goroutines that earlier tests
+// coroGoroutines counts the goroutines that run a pooled coro worker from a
+// dump of every goroutine's stack. runtime.NumGoroutine would also count goroutines that earlier tests
 // (respawn-mode threads, retired osthread workers) left exiting, which makes
 // it drift by one now and then under -race.
 func coroGoroutines() int {
@@ -32,12 +23,6 @@ func coroGoroutines() int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-}
-
-func idleWorkers() []*Thread {
-	idle.Lock()
-	defer idle.Unlock()
-	return append([]*Thread(nil), idle.workers...)
 }
 
 // runCalls runs one execution of n threads on s, each making two calls, and
@@ -73,74 +58,41 @@ func runCalls(t *testing.T, s *Scheduler, n int) []*Thread {
 	return threads
 }
 
-// TestIdleWorkersAdoptedAcrossSchedulers: the workers scheduler A releases
-// at Shutdown serve scheduler B, which starts no coroutine goroutine for them
-// and still runs its execution correctly.
-func TestIdleWorkersAdoptedAcrossSchedulers(t *testing.T) {
-	drainIdle()
-	a := New(Config{})
-	fromA := runCalls(t, a, 3)
-	a.Shutdown()
-	if got := len(idleWorkers()); got != 3 {
-		t.Fatalf("idle list holds %d workers after Shutdown, want 3", got)
-	}
-
-	before := coroGoroutines()
-	b := New(Config{})
-	fromB := runCalls(t, b, 3)
-	if got := coroGoroutines(); got != before {
-		t.Errorf("goroutines %d → %d while B adopted idle workers, want unchanged", before, got)
-	}
-	if got := b.Spawns(); got != 3 {
-		t.Errorf("B spawns = %d, want 3 (adopted workers count as obtained)", got)
-	}
-	if got := len(idleWorkers()); got != 0 {
-		t.Errorf("idle list holds %d workers after B adopted, want 0", got)
-	}
-	adopted := map[*Thread]bool{}
-	for _, th := range fromA {
-		adopted[th] = true
-	}
-	for _, th := range fromB {
-		if !adopted[th] {
-			t.Errorf("B thread %d is not one of A's workers", th.ID)
-		}
-	}
-	b.Shutdown()
-	drainIdle()
-}
-
-// TestIdleListCap: Shutdown keeps at most idleCap workers and stops the rest,
-// so the coroutine goroutine count settles at baseline + idleCap.
-func TestIdleListCap(t *testing.T) {
-	drainIdle()
+// TestShutdownEndsEveryCoroutine: Shutdown ends every coro worker it
+// started, the replacement of a retired worker included, and the coroutine
+// goroutine count returns to its baseline.
+func TestShutdownEndsEveryCoroutine(t *testing.T) {
 	base := coroGoroutines()
 	s := New(Config{})
-	n := idleCap + 5
-	for i := 0; i < n; i++ {
-		s.NewThread("t", func(*Thread) {})
+	runCalls(t, s, 3)
+	if got := coroGoroutines(); got != base+3 {
+		t.Fatalf("goroutines = %d with 3 workers, want %d", got, base+3)
 	}
-	if got := coroGoroutines(); got != base+n {
-		t.Fatalf("goroutines = %d with %d workers, want %d", got, n, base+n)
+	// Retire slot 0's worker with a non-abort panic: its coroutine ends and
+	// the next execution replaces it.
+	s.Reset()
+	bomb := s.NewThread("bomb", func(*Thread) { panic("boom") })
+	if bomb.PanicValue != "boom" || bomb.State() != Finished {
+		t.Fatalf("bomb: state %v panic %v", bomb.State(), bomb.PanicValue)
+	}
+	if got := coroGoroutines(); got != base+2 {
+		t.Errorf("goroutines = %d after the retirement, want %d", got, base+2)
+	}
+	s.Reset()
+	runCalls(t, s, 3)
+	if got := s.Spawns(); got != 4 {
+		t.Errorf("spawns = %d, want 4 (three workers plus one replacement)", got)
 	}
 	s.Shutdown()
-	if got := len(idleWorkers()); got != idleCap {
-		t.Errorf("idle list holds %d workers, want the cap %d", got, idleCap)
-	}
-	if got := coroGoroutines(); got != base+idleCap {
-		t.Errorf("goroutines after Shutdown = %d, want baseline + cap = %d", got, base+idleCap)
-	}
-	drainIdle()
 	if got := coroGoroutines(); got != base {
-		t.Errorf("goroutines after draining = %d, want baseline %d", got, base)
+		t.Errorf("goroutines after Shutdown = %d, want baseline %d", got, base)
 	}
 }
 
-// TestConcurrentSchedulersShareIdleList builds, runs and shuts down
-// schedulers on several goroutines at once, all trading workers through the
-// one idle list (run it under -race).
-func TestConcurrentSchedulersShareIdleList(t *testing.T) {
-	drainIdle()
+// TestConcurrentSchedulersShutdown builds, runs and shuts down schedulers on
+// several goroutines at once (run it under -race); afterwards no coroutine
+// is left running.
+func TestConcurrentSchedulersShutdown(t *testing.T) {
 	base := coroGoroutines()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -158,35 +110,9 @@ func TestConcurrentSchedulersShareIdleList(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(idleWorkers()); got > idleCap {
-		t.Errorf("idle list holds %d workers, over the cap %d", got, idleCap)
-	}
-	drainIdle()
 	if got := coroGoroutines(); got != base {
-		t.Errorf("goroutines after draining = %d, want baseline %d", got, base)
+		t.Errorf("goroutines after every Shutdown = %d, want baseline %d", got, base)
 	}
-}
-
-// TestRetiredWorkerNotReleased: a worker retired by a non-abort panic has
-// ended its coroutine and must never reach the idle list; its live sibling
-// does.
-func TestRetiredWorkerNotReleased(t *testing.T) {
-	drainIdle()
-	s := New(Config{})
-	bomb := s.NewThread("bomb", func(*Thread) { panic("boom") })
-	ok := s.NewThread("ok", func(th *Thread) {
-		th.Call(&capi.Op{Kind: memmodel.KYield})
-	})
-	if bomb.PanicValue != "boom" || bomb.State() != Finished {
-		t.Fatalf("bomb: state %v panic %v", bomb.State(), bomb.PanicValue)
-	}
-	s.Reply(ok)
-	s.Shutdown()
-	got := idleWorkers()
-	if len(got) != 1 || got[0] != ok {
-		t.Errorf("idle list = %v, want only the live worker %p (retired %p)", got, ok, bomb)
-	}
-	drainIdle()
 }
 
 // BenchmarkHandoff measures one Reply round trip — the tool resumes a parked

@@ -25,12 +25,10 @@
 //     ("osthread", LockOSThread) makes every handoff a real OS context
 //     switch, the regime tsan11rec operates in.
 //
-// Coroutine workers outlive their scheduler. A campaign builds a fresh tool,
-// and so a fresh Scheduler, every few executions, and pulling a coroutine
-// costs several allocations. Shutdown therefore hands its parked coro
-// workers to one process-wide idle list instead of ending them, and
-// NewThread adopts from that list before it pulls a new coroutine. The list
-// holds at most idleCap workers; Shutdown stops the ones beyond the cap.
+// A Scheduler owns its workers: Shutdown ends them all. Starting a worker
+// costs a few allocations (pulling a coroutine, or starting a goroutine), so
+// callers keep one Scheduler for many executions: each campaign worker keeps
+// one tool, and so one Scheduler, per tool for the whole campaign.
 package sched
 
 import (
@@ -285,10 +283,10 @@ type Scheduler struct {
 	// again.
 	pool []*Thread
 
-	// spawns counts the workers the scheduler obtained over its lifetime:
-	// goroutines or coroutines it started, plus coro workers it adopted from
-	// the idle list. In pooled mode it stops growing once the pool covers
-	// the program's thread count — the invariant the fiber-pool tests pin.
+	// spawns counts the workers (goroutines or coroutines) the scheduler
+	// started over its lifetime. In pooled mode it stops growing once the
+	// pool covers the program's thread count — the invariant the fiber-pool
+	// tests pin.
 	spawns int
 
 	// measureWait, when set, times every waitSettle park — the tool-side
@@ -372,10 +370,9 @@ func (s *Scheduler) WorkerCount() int {
 	return n
 }
 
-// Spawns returns the number of workers the scheduler has obtained — started
-// or, in the coro regime, adopted from the idle list. In pooled mode it is
-// constant across steady-state executions; in respawn mode it grows by the
-// thread count every execution.
+// Spawns returns the number of workers the scheduler has started. In pooled
+// mode it is constant across steady-state executions; in respawn mode it
+// grows by the thread count every execution.
 func (s *Scheduler) Spawns() int { return s.spawns }
 
 // NewThread creates a managed thread running body and blocks until it
@@ -383,7 +380,7 @@ func (s *Scheduler) Spawns() int { return s.spawns }
 // thread handle so the tool can wire up its Env.
 //
 // In pooled mode the thread is served by the slot's parked worker; a worker
-// is only obtained when the slot is new or its previous worker was retired.
+// is only started when the slot is new or its previous worker was retired.
 func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
 	var t *Thread
@@ -423,26 +420,18 @@ func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	return t
 }
 
-// worker obtains the handle for a new pool slot, or for a slot whose worker
-// was retired. In pooled mode it also obtains the worker and counts it as a
-// spawn: a coro worker is adopted from the idle list, or else pulled, and
-// runs its first binding on its first next(); an osthread worker goroutine
-// starts parked, awaiting its first binding.
+// worker returns the handle for a new pool slot, or for a slot whose worker
+// was retired. In pooled mode it also starts the worker and counts it as a
+// spawn: a coro worker is pulled and runs its first binding on its first
+// next(); an osthread worker goroutine starts parked, awaiting its first
+// binding.
 func (s *Scheduler) worker() *Thread {
-	if !s.cfg.Respawn {
-		s.spawns++
-		if s.cfg.Handoff == Coro {
-			if t := adopt(); t != nil {
-				t.sched = s
-				return t
-			}
-		}
-	}
 	t := &Thread{sched: s}
 	if s.cfg.Handoff == OSThread {
 		t.cond = sync.NewCond(&t.mu)
 	}
 	if !s.cfg.Respawn {
+		s.spawns++
 		if s.cfg.Handoff == Coro {
 			t.pull(t.coroLoop)
 		} else {
@@ -515,21 +504,22 @@ func (s *Scheduler) Abort() {
 	}
 }
 
-// Shutdown releases every pooled worker: coro workers go to the idle list
-// (see release), osthread worker goroutines exit. Like Reset, it
-// must only be called in the quiescent all-threads-finished state. The
-// scheduler must not run further executions afterwards; tools call it when
-// an engine is discarded so long-lived processes (campaign runners) do not
-// accumulate parked workers.
+// Shutdown ends every pooled worker: coro workers are stopped while parked,
+// osthread worker goroutines exit their loop. Like Reset, it must only be
+// called in the quiescent all-threads-finished state. The scheduler must
+// not run further executions afterwards; tools call it when an engine is
+// discarded so long-lived processes (campaign runners) do not accumulate
+// parked workers.
 func (s *Scheduler) Shutdown() {
 	if !s.cfg.Respawn {
 		for _, t := range s.pool {
-			switch {
-			case t.dead:
-			case s.cfg.Handoff == Coro:
-				release(t)
-			default:
-				t.dead = true
+			if t.dead {
+				continue
+			}
+			t.dead = true
+			if s.cfg.Handoff == Coro {
+				t.stop() // a parked coroLoop's yield returns false: it returns
+			} else {
 				t.body = nil
 				t.signalReply() // nil body: the worker exits its loop
 			}

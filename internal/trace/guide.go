@@ -63,9 +63,6 @@ func NewPrefixGuide(inner core.Strategy) *PrefixGuide {
 // at the next Seed (i.e. the next Engine.Execute).
 func (g *PrefixGuide) SetSchedule(s Schedule) { g.sched = s }
 
-// Inner returns the live strategy the guide hands off to.
-func (g *PrefixGuide) Inner() core.Strategy { return g.inner }
-
 // Seed implements core.Strategy: seed the inner strategy, rewind the prefix,
 // and draw this execution's prefix depth from the seed.
 func (g *PrefixGuide) Seed(seed int64) {
