@@ -7,10 +7,10 @@
 // committed numbers track the hot-path trajectory across PRs.
 //
 // The scheduler dimension of the paper's Figure 14 is exposed directly:
-// -handoff selects the handoff regime (coro ≈ swapcontext fibers, the tools'
-// default; osthread ≈ kernel-thread condition-variable sequencing),
-// -respawn disables the fiber pool, and -fig14 appends the full regime ×
-// {pooled, respawn} matrix to the artifact.
+// -handoff selects the handoff regime (coro ≈ swapcontext fibers, every
+// tool's default; osthread ≈ kernel-thread condition-variable sequencing,
+// the tsan11rec row), and -fig14 appends the regime × tool matrix to the
+// artifact.
 //
 // Examples:
 //
@@ -28,7 +28,6 @@ import (
 
 	"c11tester/internal/campaign"
 	"c11tester/internal/obs"
-	"c11tester/internal/sched"
 )
 
 func main() {
@@ -46,9 +45,8 @@ func run(args []string, out *os.File) int {
 		warmup   = fs.Int("warmup", 1, "unmeasured warmup sweeps of the measured seed range per cell (0 for none)")
 		seed     = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
 		jsonPath = fs.String("json", "BENCH_perf.json", "perf artifact path ('' disables)")
-		handoff  = fs.String("handoff", "", "scheduler handoff regime: coro or osthread (Figure 14); '' keeps each tool's default (coro)")
-		respawn  = fs.Bool("respawn", false, "disable the fiber pool: respawn worker goroutines per execution (Figure 14)")
-		fig14    = fs.Bool("fig14", false, "append the Figure 14 handoff × scheduler matrix over the selected programs")
+		handoff  = fs.String("handoff", "", "scheduler handoff regime of every tool: coro (the default) or osthread (Figure 14)")
+		fig14    = fs.Bool("fig14", false, "append the Figure 14 handoff regime × tool matrix over the selected programs")
 		rngSrc   = fs.String("rng", "pcg", "random source behind every tool decision: pcg (O(1) seed) or legacy (math/rand)")
 		compare  = fs.String("compare", "", "diff two perf artifacts: -compare old.json new.json (or old.json,new.json); exits 2 on regression")
 		nsTol    = fs.Float64("ns-tol", 20, "-compare: ns/exec tolerance band in percent (negative disables the timing leg)")
@@ -62,18 +60,11 @@ func run(args []string, out *os.File) int {
 	if *compare != "" {
 		return runCompare(*compare, fs.Args(), *nsTol, *allocTol, out)
 	}
-	if _, err := sched.ParseHandoff(*handoff); err != nil {
-		fmt.Fprintln(os.Stderr, "c11bench:", err)
-		return 1
-	}
 
-	toolOpts := campaign.ToolOptions{Handoff: *handoff, Respawn: *respawn, RNG: *rngSrc}
+	toolOpts := campaign.ToolOptions{Handoff: *handoff, RNG: *rngSrc}
 	spec := campaign.PerfSpec{
 		Runs: *runs, Warmup: *warmup, SeedBase: *seed,
-		Handoff: *handoff, Respawn: *respawn, RNG: *rngSrc,
-	}
-	if *warmup == 0 {
-		spec.Warmup = -1 // flag 0 means literally none; PerfSpec 0 means default
+		Handoff: *handoff, RNG: *rngSrc,
 	}
 	var toolNames []string
 	for _, name := range campaign.SplitList(*tools) {

@@ -51,7 +51,6 @@ func run(args []string, out *os.File) int {
 		sched     = fs.String("sched", "random", "c11tester scheduler strategy: random or quantum")
 		quantum   = fs.Int("quantum", 0, "mean scheduling quantum for quantum strategies (0 = default)")
 		maxSteps  = fs.Uint64("max-steps", 0, "per-execution visible-operation cap (0 = default)")
-		faithful  = fs.Bool("faithful-handoff", false, "run tsan11rec on kernel-thread handoff (Figure 14 regime)")
 		rngSrc    = fs.String("rng", "pcg", "random source behind every tool decision: pcg (O(1) seed) or legacy (math/rand, reproduces pre-PCG artifacts)")
 		jsonPath  = fs.String("json", "BENCH_campaign.json", "campaign artifact path ('' disables)")
 		policy    = fs.String("policy", "uniform", "per-cell budget policy: uniform, or converge (stop a cell early once its statistics stabilize and reassign the freed budget)")
@@ -97,12 +96,11 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 	opts := campaign.ToolOptions{
-		Prune:           pruneMode,
-		Strategy:        *sched,
-		QuantumMean:     *quantum,
-		MaxSteps:        *maxSteps,
-		FaithfulHandoff: *faithful,
-		RNG:             *rngSrc,
+		Prune:       pruneMode,
+		Strategy:    *sched,
+		QuantumMean: *quantum,
+		MaxSteps:    *maxSteps,
+		RNG:         *rngSrc,
 	}
 
 	if *record != "" {

@@ -23,10 +23,12 @@
 //     coroutine handoff.
 //
 //   - tsan11rec sequentializes visible operations across kernel threads
-//     and records them for replay. Its threads are pinned to OS threads
-//     with condition-variable handoff (every visible operation costs a real
-//     kernel context switch, the regime measured in Figure 14) and every
-//     visible operation is appended to an in-memory record log.
+//     and records them for replay: every visible operation is appended to
+//     an in-memory record log. Its kernel-thread sequencing (every visible
+//     operation costs a real context switch) is Figure 14's comparison row,
+//     selected with Options.Handoff = sched.OSThread; like every tool it
+//     runs on the default coroutine handoff otherwise, since the regime
+//     changes the handoff cost, never the outcomes.
 package baseline
 
 import (
@@ -298,31 +300,13 @@ type Options struct {
 	// (see CommitModel.SetConservativeSync); on by default to match the
 	// tools' measured behaviour.
 	PreciseSync bool
-	// FastHandoff runs tsan11rec on the default coroutine handoff instead
-	// of kernel threads (the campaign default; the faithful regime is the
-	// Figure 14 comparison).
-	FastHandoff bool
-	// Handoff, when non-empty, overrides the tool's handoff regime outright
-	// (sched.ParseHandoff names; it takes precedence over FastHandoff).
-	// Unknown names panic — validate with sched.ParseHandoff first, as
-	// campaign.StandardTool does.
-	Handoff string
-	// Respawn disables the scheduler's fiber pool (see sched.Config.Respawn).
-	Respawn bool
+	// Handoff selects the scheduler handoff regime; the zero value is the
+	// coroutine handoff for every tool, and sched.OSThread is the Figure 14
+	// kernel-thread row.
+	Handoff sched.Handoff
 	// RNG selects the random source behind the tool's strategy and workload
 	// draws (rng.PCG default, rng.Legacy for pre-PCG stream reproduction).
 	RNG rng.Kind
-}
-
-// schedConfig resolves the options' scheduler configuration from the tool's
-// default regime.
-func (o Options) schedConfig(def sched.Config) sched.Config {
-	cfg := def
-	if o.Handoff != "" {
-		cfg = sched.MustHandoff(o.Handoff)
-	}
-	cfg.Respawn = o.Respawn
-	return cfg
 }
 
 // NewTsan11 builds the tsan11 baseline: commit-order memory model,
@@ -335,7 +319,7 @@ func NewTsan11(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, false)
 	m.SetConservativeSync(!opts.PreciseSync)
 	return core.New("tsan11", m, core.Config{
-		Sched:          opts.schedConfig(sched.Config{}),
+		Handoff:        opts.Handoff,
 		Strategy:       core.NewQuantumStrategyKind(opts.RNG, mean),
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
@@ -344,19 +328,14 @@ func NewTsan11(opts Options) *core.Engine {
 }
 
 // NewTsan11rec builds the tsan11rec baseline: commit-order memory model,
-// controlled random scheduling of visible operations sequenced across
-// kernel threads, plus the record log.
+// controlled random scheduling of visible operations, plus the record log.
 func NewTsan11rec(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, true)
 	m.SetConservativeSync(!opts.PreciseSync)
-	def := sched.Config{Handoff: sched.OSThread}
-	if opts.FastHandoff {
-		def = sched.Config{}
-	}
 	// Strategy stays nil: Config.withDefaults builds the default random
 	// strategy on Config.RNG, so the rng source follows the option.
 	return core.New("tsan11rec", m, core.Config{
-		Sched:          opts.schedConfig(def),
+		Handoff:        opts.Handoff,
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
 		RNG:            opts.RNG,

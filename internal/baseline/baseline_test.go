@@ -40,7 +40,7 @@ func TestBaselinesAllowStaleRelaxedReads(t *testing.T) {
 	// values within its history.
 	for _, tool := range []capi.Tool{
 		NewTsan11(Options{PreciseSync: true}),
-		NewTsan11rec(Options{PreciseSync: true, FastHandoff: true}),
+		NewTsan11rec(Options{PreciseSync: true}),
 	} {
 		var out string
 		hist := outcomes(t, tool, 400, &out, func(env capi.Env) {

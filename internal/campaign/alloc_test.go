@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"c11tester/internal/baseline"
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 	"c11tester/internal/obs"
@@ -103,8 +104,8 @@ func testZeroAllocSteadyState(t *testing.T, rngSource string) {
 
 // TestHandoffRegimeEquivalence pins the Figure 14 invariant that makes the
 // handoff matrix a pure performance comparison: scheduling decisions are
-// driven by the strategy alone, so campaign outcomes are byte-identical
-// across every handoff regime × {pooled, respawn} scheduler combination.
+// driven by the strategy alone, so every standard tool's outcomes are
+// byte-identical across every handoff regime.
 func TestHandoffRegimeEquivalence(t *testing.T) {
 	benches, err := SelectBenchmarks("ms-queue")
 	if err != nil {
@@ -115,9 +116,8 @@ func TestHandoffRegimeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 3
-	type cellDigests []execDigest
-	digestsFor := func(opts ToolOptions) cellDigests {
-		spec, err := StandardTool("c11tester", opts)
+	digestsFor := func(name string, opts ToolOptions) []execDigest {
+		spec, err := StandardTool(name, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,17 +139,36 @@ func TestHandoffRegimeEquivalence(t *testing.T) {
 		return out
 	}
 
-	base := digestsFor(ToolOptions{})
-	for _, regime := range sched.HandoffRegimes() {
-		for _, respawn := range []bool{false, true} {
-			got := digestsFor(ToolOptions{Handoff: regime, Respawn: respawn})
+	for _, name := range StandardToolNames() {
+		base := digestsFor(name, ToolOptions{})
+		for _, h := range sched.HandoffRegimes() {
+			got := digestsFor(name, ToolOptions{Handoff: h.String()})
 			for i := range base {
 				if diff := digestEqual(base[i], got[i]); diff != "" {
-					t.Fatalf("%s/respawn=%v: execution %d diverged from the default regime: %s",
-						regime, respawn, i, diff)
+					t.Fatalf("%s/%s: execution %d diverged from the default regime: %s",
+						name, h, i, diff)
 				}
 			}
 		}
+	}
+}
+
+// TestEveryToolDefaultsToCoro pins the one handoff default: the zero options
+// build every standard tool, tsan11rec included, on the coroutine handoff.
+func TestEveryToolDefaultsToCoro(t *testing.T) {
+	for _, name := range StandardToolNames() {
+		spec, err := StandardTool(name, ToolOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := spec.New().(*core.Engine)
+		if h := eng.Config().Handoff; h != sched.Coro {
+			t.Errorf("StandardTool(%q) runs on %s, want coro", name, h)
+		}
+		eng.Close()
+	}
+	if h := baseline.NewTsan11rec(baseline.Options{}).Config().Handoff; h != sched.Coro {
+		t.Errorf("baseline.NewTsan11rec(Options{}) runs on %s, want coro", h)
 	}
 }
 
@@ -165,20 +184,15 @@ func TestRunHandoffMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != len(sched.HandoffRegimes())*2 {
-		t.Fatalf("matrix has %d cells, want %d", len(cells), len(sched.HandoffRegimes())*2)
+	if len(cells) != len(sched.HandoffRegimes()) {
+		t.Fatalf("matrix has %d cells, want %d", len(cells), len(sched.HandoffRegimes()))
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
 		if c.Execs != 2 || c.NsPerExec <= 0 {
 			t.Errorf("cell %+v: want 2 execs and positive ns/exec", c)
 		}
-		key := c.Handoff
-		if c.Pooled {
-			key += "/pooled"
-		} else {
-			key += "/respawn"
-		}
+		key := c.Handoff + "/" + c.Tool
 		if seen[key] {
 			t.Errorf("duplicate matrix cell %s", key)
 		}
@@ -189,10 +203,10 @@ func TestRunHandoffMatrix(t *testing.T) {
 	}
 
 	// A prior summary over the same spec short-circuits its own regime
-	// combination instead of re-measuring it.
+	// instead of re-measuring it.
 	prior := &PerfSummary{
 		SchemaVersion: PerfSchemaVersion,
-		Spec:          PerfSpecInfo{Handoff: "osthread", Pooled: true},
+		Spec:          PerfSpecInfo{Handoff: "osthread"},
 		Tools:         []PerfToolSummary{{Tool: "c11tester", Execs: 99, NsPerExec: 123}},
 	}
 	cells, err = RunHandoffMatrix(PerfSpec{Litmus: lits, Runs: 2, Warmup: 1, SeedBase: 1},
@@ -201,7 +215,7 @@ func TestRunHandoffMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if c.Handoff == "osthread" && c.Pooled {
+		if c.Handoff == "osthread" {
 			if c.Execs != 99 || c.NsPerExec != 123 {
 				t.Errorf("prior aggregate not reused: %+v", c)
 			}

@@ -240,6 +240,21 @@ func (s Spec) cellJobs() []job {
 	return cells
 }
 
+// shardRanges deals one cell's execution indices [0, Runs) into chunks of
+// ShardSize, round-robin over Shard.Count shards, and returns this shard's
+// deal in order (every chunk when unsharded). Every cell deals identically,
+// so the Count shard runs partition the unsharded run's job set exactly —
+// what makes the merged partials byte-identical to it.
+func (s Spec) shardRanges() [][2]int {
+	var out [][2]int
+	for ord, lo := 0, 0; lo < s.Runs; ord, lo = ord+1, lo+s.ShardSize {
+		if s.Shard.Count <= 1 || ord%s.Shard.Count == s.Shard.Index {
+			out = append(out, [2]int{lo, min(lo+s.ShardSize, s.Runs)})
+		}
+	}
+	return out
+}
+
 // cellIndex is the matrix-order position of j's cell.
 func (s Spec) cellIndex(j job) int {
 	i := j.tool*(len(s.Benchmarks)+len(s.Litmus)) + j.cell
@@ -458,22 +473,16 @@ func (p *pool) close() {
 	}
 }
 
-// runUniform is the fixed-budget path: every cell is split into shards of
-// ShardSize executions, and shards are distributed over the worker pool. The
-// whole pass is one telemetry wave. Under Spec.Shard, each cell's chunk
-// sequence is dealt round-robin and only this shard's deal is run — the K
-// shard runs partition the exact job set of the unsharded run, which is what
-// makes the merged artifact byte-identical to it.
+// runUniform is the fixed-budget path: every cell is split into chunks of
+// ShardSize executions, and chunks are distributed over the worker pool. The
+// whole pass is one telemetry wave. Under Spec.Shard only this shard's deal
+// of each cell's chunks is run (Spec.shardRanges).
 func runUniform(spec Spec, p *pool, tel *Telemetry, f *fold) {
 	var jobs []job
+	ranges := spec.shardRanges()
 	for _, c := range spec.cellJobs() {
-		ord := 0
-		for lo := 0; lo < spec.Runs; lo += spec.ShardSize {
-			hi := min(lo+spec.ShardSize, spec.Runs)
-			if spec.Shard.Count <= 1 || ord%spec.Shard.Count == spec.Shard.Index {
-				jobs = append(jobs, job{kind: c.kind, tool: c.tool, cell: c.cell, lo: lo, hi: hi})
-			}
-			ord++
+		for _, r := range ranges {
+			jobs = append(jobs, job{kind: c.kind, tool: c.tool, cell: c.cell, lo: r[0], hi: r[1]})
 		}
 	}
 	tel.waveStart(1, len(jobs))

@@ -454,9 +454,6 @@ func TestReproFlagsCarryToolConfiguration(t *testing.T) {
 	if ts := mustTool(t, "c11tester", ToolOptions{}); ts.ReproFlags != "" {
 		t.Fatalf("default config must emit no extra flags, got %q", ts.ReproFlags)
 	}
-	if ts := mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true}); ts.ReproFlags != "-faithful-handoff" {
-		t.Fatalf("tsan11rec ReproFlags = %q", ts.ReproFlags)
-	}
 
 	sum := Run(Spec{
 		Tools:      []ToolSpec{mustTool(t, "c11tester", opts)},

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"c11tester/internal/capi"
 	"c11tester/internal/explore"
 	"c11tester/internal/litmus"
 	"c11tester/internal/obs"
@@ -482,6 +484,91 @@ func TestBuildShardManifest(t *testing.T) {
 	}
 	if len(seeds) != 10 {
 		t.Fatalf("shards cover %d seeds, want 10", len(seeds))
+	}
+}
+
+// seedLog wraps a tool and records every seed it executes.
+type seedLog struct {
+	capi.Tool
+	mu    *sync.Mutex
+	seeds map[int64]int
+}
+
+func (l seedLog) Execute(p capi.Program, seed int64) *capi.Result {
+	l.mu.Lock()
+	l.seeds[seed]++
+	l.mu.Unlock()
+	return l.Tool.Execute(p, seed)
+}
+
+func (l seedLog) Close() { closeTool(l.Tool) }
+
+// TestShardDeal pins the one round-robin deal of a cell's chunks: with Runs
+// not a multiple of ShardSize, the shards' ranges partition [0, Runs), and
+// each shard's planned executions, manifest seed ranges and executed seeds
+// all follow its deal.
+func TestShardDeal(t *testing.T) {
+	const runs, size, seedBase = 11, 3, 100
+	for _, count := range []int{1, 3} {
+		covered := make([]int, runs)
+		for idx := 0; idx < count; idx++ {
+			var mu sync.Mutex
+			seeds := map[int64]int{}
+			ts := mustTool(t, "c11tester", ToolOptions{})
+			inner := ts.New
+			ts.New = func() capi.Tool { return seedLog{Tool: inner(), mu: &mu, seeds: seeds} }
+			tel := NewTelemetry(TelemetryOptions{})
+			spec := Spec{
+				Tools:      []ToolSpec{ts},
+				Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
+				Litmus:     []*litmus.Test{mustLitmus(t, "SB+rlx")},
+				Runs:       runs, SeedBase: seedBase, ShardSize: size, Workers: 2,
+				Shard:     ShardSel{Index: idx, Count: count},
+				Telemetry: tel,
+			}
+			ranges := spec.shardRanges()
+			dealt := 0
+			want := map[int64]int{}
+			for _, r := range ranges {
+				if r[0] >= r[1] || r[1] > runs {
+					t.Fatalf("%d/%d: bad range %v", idx, count, r)
+				}
+				for i := r[0]; i < r[1]; i++ {
+					covered[i]++
+					want[seedBase+int64(i)] = 2 // two cells run every dealt seed
+				}
+				dealt += r[1] - r[0]
+			}
+			sum := Run(spec)
+			if tel.execsPlanned != 2*dealt {
+				t.Errorf("%d/%d: planned %d execs, deal has %d per cell × 2 cells", idx, count, tel.execsPlanned, dealt)
+			}
+			if sum.Tools[0].Execs != 2*dealt {
+				t.Errorf("%d/%d: executed %d execs, want %d", idx, count, sum.Tools[0].Execs, 2*dealt)
+			}
+			m := BuildShardManifest(spec, sum)
+			if len(m.SeedRanges) != len(ranges) {
+				t.Fatalf("%d/%d: manifest has %d seed ranges, deal has %d", idx, count, len(m.SeedRanges), len(ranges))
+			}
+			for i, r := range ranges {
+				if m.SeedRanges[i] != [2]int64{seedBase + int64(r[0]), seedBase + int64(r[1])} {
+					t.Errorf("%d/%d: manifest range %d = %v, deal %v", idx, count, i, m.SeedRanges[i], r)
+				}
+			}
+			if len(seeds) != len(want) {
+				t.Errorf("%d/%d: executed %d distinct seeds, deal has %d", idx, count, len(seeds), len(want))
+			}
+			for s, n := range want {
+				if seeds[s] != n {
+					t.Errorf("%d/%d: seed %d executed %d time(s), want %d", idx, count, s, seeds[s], n)
+				}
+			}
+		}
+		for i, n := range covered {
+			if n != 1 {
+				t.Errorf("count %d: execution %d dealt %d time(s), want exactly once", count, i, n)
+			}
+		}
 	}
 }
 

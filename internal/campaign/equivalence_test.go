@@ -110,9 +110,9 @@ func newTracedTool(spec ToolSpec) (capi.Tool, *core.Engine, *trace.Recorder) {
 // execution arenas and the fiber pool: N sequential Execute calls on ONE
 // engine (exercising the recycled Action/clock-vector/mo-graph state and the
 // re-bound pool workers) produce byte-identical race keys, outcomes, final
-// values, and serialized traces to N fresh engines AND to a
-// respawning-scheduler engine (sched.Config.Respawn) running the same
-// executions, across every tool × program cell of the standard matrix.
+// values, and serialized traces to N fresh engines, each on newly started
+// scheduler workers, across every tool × program cell of the standard
+// matrix.
 func TestPooledEngineArenaEquivalence(t *testing.T) {
 	const runs = 3
 	benches, err := SelectBenchmarks("all")
@@ -126,10 +126,6 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 
 	for _, name := range StandardToolNames() {
 		spec, err := StandardTool(name, ToolOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		respawnSpec, err := StandardTool(name, ToolOptions{Respawn: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,20 +170,6 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 					fresh := digestOf(t, freshEng, freshRec, res, c.name, c.isLit, c.outStr(), int64(i+1))
 					if diff := digestEqual(pooled[i], fresh); diff != "" {
 						t.Fatalf("execution %d (seed %d): pooled engine diverged from fresh engine: %s", i, i+1, diff)
-					}
-				}
-				// The fiber pool must be observationally invisible next to
-				// the goroutine-respawning scheduler: same engine-level
-				// recycling, workers respawned per execution.
-				respawnTool, respawnEng, respawnRec := newTracedTool(respawnSpec)
-				for i := 0; i < runs; i++ {
-					if c.reset != nil {
-						c.reset()
-					}
-					res := respawnTool.Execute(c.prog, int64(i+1))
-					respawn := digestOf(t, respawnEng, respawnRec, res, c.name, c.isLit, c.outStr(), int64(i+1))
-					if diff := digestEqual(pooled[i], respawn); diff != "" {
-						t.Fatalf("execution %d (seed %d): pooled scheduler diverged from respawning scheduler: %s", i, i+1, diff)
 					}
 				}
 			})

@@ -237,16 +237,8 @@ func BuildShardManifest(spec Spec, sum *Summary) *ShardManifest {
 	if sum.Shard != nil {
 		m.Shard = *sum.Shard
 	}
-	ord := 0
-	for lo := 0; lo < spec.Runs; lo += spec.ShardSize {
-		hi := lo + spec.ShardSize
-		if hi > spec.Runs {
-			hi = spec.Runs
-		}
-		if spec.Shard.Count <= 1 || ord%spec.Shard.Count == spec.Shard.Index {
-			m.SeedRanges = append(m.SeedRanges, [2]int64{spec.SeedBase + int64(lo), spec.SeedBase + int64(hi)})
-		}
-		ord++
+	for _, r := range spec.shardRanges() {
+		m.SeedRanges = append(m.SeedRanges, [2]int64{spec.SeedBase + int64(r[0]), spec.SeedBase + int64(r[1])})
 	}
 	for _, ts := range sum.Tools {
 		m.Execs += ts.Execs

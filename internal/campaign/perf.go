@@ -20,16 +20,18 @@ import (
 // per (tool, program) cell. Bump PerfSchemaVersion on any incompatible change
 // to the JSON shape.
 //
-// Schema v2 (the fiber-pool PR) adds the scheduler regime to the spec echo
-// (handoff, pooled) and the optional Figure 14 handoff matrix
-// (handoff_matrix): ns/exec and allocation counters for every handoff regime
-// × {pooled, respawn} scheduler combination.
+// Schema v2 (the fiber-pool PR) adds the handoff regime to the spec echo
+// and the optional Figure 14 handoff matrix (handoff_matrix): ns/exec and
+// allocation counters for every handoff regime × tool.
 //
 // Schema v3 (the PCG rng PR) adds the rng-source echo ("rng": pcg or
 // legacy) to the spec: the source changes every decision stream and the
 // work each execution does, so artifacts from different sources are only
-// compared with a warning (like handoff regimes). Pre-v3 artifacts were
-// measured on the legacy source.
+// compared with a warning (like handoff regimes).
+//
+// Only the current version loads. The "pooled" spec and matrix fields of
+// earlier v3 artifacts name the deleted respawn scheduler; they decode as
+// unknown fields and are ignored.
 const (
 	PerfSchemaName    = "c11tester/perf"
 	PerfSchemaVersion = 3
@@ -45,24 +47,22 @@ type PerfSpec struct {
 	// Runs is the number of measured executions per (tool, program) cell.
 	Runs int
 	// Warmup is the number of unmeasured full sweeps of the measured seed
-	// range run first on each cell's tool instance (negative means 0; 0 means
-	// the default of 1). Sweeping the exact seed sequence the measurement
-	// will use brings every pool and arena to its high-water mark before the
-	// window opens, so the measured window reflects the true steady state —
-	// with the fiber pool, zero allocations — instead of charging one-time
-	// capacity growth at a late seed to the per-execution numbers.
+	// range run first on each cell's tool instance. Sweeping the exact seed
+	// sequence the measurement will use brings every pool and arena to its
+	// high-water mark before the window opens, so the measured window
+	// reflects the true steady state — with the fiber pool, zero
+	// allocations — instead of charging one-time capacity growth at a late
+	// seed to the per-execution numbers.
 	Warmup int
 	// SeedBase seeds measured execution i of a cell with SeedBase+i (warmup
 	// sweeps replay the same seeds), mirroring the campaign runner's seeding
 	// invariant.
 	SeedBase int64
-	// Handoff, Respawn, and RNG echo the scheduler regime and random source
-	// the spec's tools were built with (ToolOptions.Handoff/Respawn/RNG)
-	// into the artifact, so two BENCH_perf.json files are only compared like
-	// for like. They do not themselves configure the tools — the ToolSpec
-	// factories do.
+	// Handoff and RNG echo the handoff regime and random source the spec's
+	// tools were built with (ToolOptions.Handoff/RNG) into the artifact, so
+	// two BENCH_perf.json files are only compared like for like. They do not
+	// themselves configure the tools — the ToolSpec factories do.
 	Handoff string
-	Respawn bool
 	RNG     string
 	// Progress, when non-nil, receives live counters as the sweep runs (cells
 	// planned/done, executions) for a -status-addr server. The per-execution
@@ -74,11 +74,6 @@ type PerfSpec struct {
 func (s PerfSpec) withDefaults() PerfSpec {
 	if s.Runs <= 0 {
 		s.Runs = 30
-	}
-	if s.Warmup == 0 {
-		s.Warmup = 1
-	} else if s.Warmup < 0 {
-		s.Warmup = 0
 	}
 	return s
 }
@@ -107,9 +102,8 @@ type PerfToolSummary struct {
 }
 
 // PerfSpecInfo echoes the measurement parameters into the artifact. Handoff
-// and Pooled (schema v2) name the scheduler regime the main matrix ran in;
-// artifacts from different regimes are not comparable and the perf gate
-// warns on a mismatch.
+// names the handoff regime the main matrix ran in; artifacts from different
+// regimes are not comparable and the perf gate warns on a mismatch.
 type PerfSpecInfo struct {
 	Tools    []string `json:"tools"`
 	Programs []string `json:"programs"`
@@ -117,22 +111,17 @@ type PerfSpecInfo struct {
 	Warmup   int      `json:"warmup"`
 	SeedBase int64    `json:"seed_base"`
 	Handoff  string   `json:"handoff,omitempty"`
-	Pooled   bool     `json:"pooled,omitempty"`
-	// RNG names the random source (schema v3): "pcg" or "legacy". Pre-v3
-	// artifacts omit it and were measured on the legacy source.
+	// RNG names the random source: "pcg" or "legacy".
 	RNG string `json:"rng,omitempty"`
 }
 
 // HandoffCell is one aggregated measurement of the Figure 14 handoff matrix:
-// one tool measured over the spec's programs under one handoff regime ×
-// scheduler (pooled fiber workers vs per-thread respawn) combination. The
+// one tool measured over the spec's programs under one handoff regime. The
 // matrix reproduces the paper's Figure 14 comparison — user-level switches
 // (coro ≈ swapcontext fibers) against condition-variable sequencing on
-// kernel threads — with the pool dimension isolating what worker reuse
-// itself buys.
+// kernel threads.
 type HandoffCell struct {
 	Handoff string `json:"handoff"`
-	Pooled  bool   `json:"pooled"`
 	Tool    string `json:"tool"`
 	Execs   int    `json:"execs"`
 
@@ -166,9 +155,9 @@ func RunPerf(spec PerfSpec) *PerfSummary {
 		GoVersion:     runtime.Version(),
 		Spec: PerfSpecInfo{
 			Runs: spec.Runs, Warmup: spec.Warmup, SeedBase: spec.SeedBase,
-			Handoff: handoffOrDefault(spec.Handoff), Pooled: !spec.Respawn,
-			RNG:   rng.Canonical(spec.RNG),
-			Tools: []string{}, Programs: []string{},
+			Handoff: handoffOrDefault(spec.Handoff),
+			RNG:     rng.Canonical(spec.RNG),
+			Tools:   []string{}, Programs: []string{},
 		},
 	}
 	for _, t := range spec.Tools {
@@ -275,75 +264,51 @@ func measureCell(spec PerfSpec, ti int, program string, isLit bool, prog capi.Pr
 	}
 }
 
-// handoffOrDefault normalizes an empty handoff name to the default regime
-// (sched.HandoffName of the zero Config).
+// handoffOrDefault normalizes an empty handoff name to the default regime.
 func handoffOrDefault(name string) string {
 	if name == "" {
-		return sched.HandoffName(sched.Config{})
+		return sched.Coro.String()
 	}
 	return name
-}
-
-// rngOrDefault resolves the rng source an artifact was measured on: pre-v3
-// artifacts omit the echo and were drawn from the legacy math/rand source.
-func rngOrDefault(name string, schemaVersion int) string {
-	if name == "" {
-		if schemaVersion < 3 {
-			return "legacy"
-		}
-		return rng.Canonical("")
-	}
-	return name
-}
-
-// schedLabel renders the pool dimension of a scheduler regime.
-func schedLabel(pooled bool) string {
-	if pooled {
-		return "pooled"
-	}
-	return "respawn"
 }
 
 // RunHandoffMatrix measures the Figure 14 design space: every handoff regime
-// (coro, osthread) × {pooled, respawn} scheduler, for each named
-// tool, over the spec's programs. Each combination reuses the serial RunPerf
-// machinery with tools rebuilt under the regime, and is aggregated to one
-// HandoffCell. base supplies the non-scheduler tool options. prior, when
-// non-nil, is a summary already measured over the same spec (cmd/c11bench's
-// main run); its regime combination is copied from its per-tool aggregates
-// instead of being measured a second time.
+// (coro, osthread) × each named tool, over the spec's programs. Each regime
+// reuses the serial RunPerf machinery with tools rebuilt under it, and each
+// (regime, tool) pair is aggregated to one HandoffCell. base supplies the
+// non-scheduler tool options. prior, when non-nil, is a summary already
+// measured over the same spec (cmd/c11bench's main run); its regime is
+// copied from its per-tool aggregates instead of being measured a second
+// time.
 func RunHandoffMatrix(spec PerfSpec, toolNames []string, base ToolOptions, prior *PerfSummary) ([]HandoffCell, error) {
 	var out []HandoffCell
-	for _, regime := range sched.HandoffRegimes() {
-		for _, pooled := range []bool{true, false} {
-			for _, name := range toolNames {
-				if cell, ok := priorCell(prior, regime, pooled, name); ok {
-					out = append(out, cell)
-					continue
-				}
-				opts := base
-				opts.Handoff = regime
-				opts.Respawn = !pooled
-				ts, err := StandardTool(name, opts)
-				if err != nil {
-					return nil, err
-				}
-				sub := spec
-				sub.Tools = []ToolSpec{ts}
-				sub.Handoff = regime
-				sub.Respawn = !pooled
-				sum := RunPerf(sub)
-				out = append(out, cellFromAgg(regime, pooled, sum.Tools[0]))
+	for _, h := range sched.HandoffRegimes() {
+		regime := h.String()
+		for _, name := range toolNames {
+			if cell, ok := priorCell(prior, regime, name); ok {
+				out = append(out, cell)
+				continue
 			}
+			opts := base
+			opts.Handoff = regime
+			ts, err := StandardTool(name, opts)
+			if err != nil {
+				return nil, err
+			}
+			sub := spec
+			sub.Tools = []ToolSpec{ts}
+			sub.Handoff = regime
+			sum := RunPerf(sub)
+			out = append(out, cellFromAgg(regime, sum.Tools[0]))
 		}
 	}
 	return out, nil
 }
 
 // cellFromAgg builds a matrix cell from a per-tool RunPerf aggregate.
-func cellFromAgg(regime string, pooled bool, agg PerfToolSummary) HandoffCell {
+func cellFromAgg(regime string, agg PerfToolSummary) HandoffCell {
 	return HandoffCell{
-		Handoff: regime, Pooled: pooled, Tool: agg.Tool,
+		Handoff: regime, Tool: agg.Tool,
 		Execs:               agg.Execs,
 		NsPerExec:           agg.NsPerExec,
 		AllocBytesPerExec:   agg.AllocBytesPerExec,
@@ -351,15 +316,15 @@ func cellFromAgg(regime string, pooled bool, agg PerfToolSummary) HandoffCell {
 	}
 }
 
-// priorCell extracts the (regime, pooled, tool) matrix cell from an
-// already-measured summary, if it covers that combination.
-func priorCell(prior *PerfSummary, regime string, pooled bool, tool string) (HandoffCell, bool) {
-	if prior == nil || handoffOrDefault(prior.Spec.Handoff) != regime || prior.Spec.Pooled != pooled {
+// priorCell extracts the (regime, tool) matrix cell from an already-measured
+// summary, if it covers that combination.
+func priorCell(prior *PerfSummary, regime, tool string) (HandoffCell, bool) {
+	if prior == nil || handoffOrDefault(prior.Spec.Handoff) != regime {
 		return HandoffCell{}, false
 	}
 	for _, agg := range prior.Tools {
 		if agg.Tool == tool {
-			return cellFromAgg(regime, pooled, agg), true
+			return cellFromAgg(regime, agg), true
 		}
 	}
 	return HandoffCell{}, false
@@ -367,9 +332,9 @@ func priorCell(prior *PerfSummary, regime string, pooled bool, tool string) (Han
 
 // HandoffMatrixString renders the Figure 14 matrix table.
 func HandoffMatrixString(cells []HandoffCell) string {
-	tb := &harness.Table{Header: []string{"handoff", "scheduler", "tool", "ns/exec", "bytes/exec", "objects/exec"}}
+	tb := &harness.Table{Header: []string{"handoff", "tool", "ns/exec", "bytes/exec", "objects/exec"}}
 	for _, c := range cells {
-		tb.AddRow(c.Handoff, schedLabel(c.Pooled), c.Tool,
+		tb.AddRow(c.Handoff, c.Tool,
 			fmt.Sprintf("%.0f", c.NsPerExec),
 			fmt.Sprintf("%.0f", c.AllocBytesPerExec),
 			fmt.Sprintf("%.1f", c.AllocObjectsPerExec))
@@ -379,13 +344,9 @@ func HandoffMatrixString(cells []HandoffCell) string {
 
 // String renders the human-readable perf report.
 func (s *PerfSummary) String() string {
-	regime := handoffOrDefault(s.Spec.Handoff)
-	schedName := schedLabel(s.Spec.Pooled)
-	if s.SchemaVersion == 1 {
-		schedName = "pre-pool" // v1 artifacts predate the fiber pool
-	}
-	out := fmt.Sprintf("perf: %d tool(s) × %d program(s), %d measured execs/cell (%d warmup), seed base %d, %s handoff (%s), %s rng, %s\n\n",
-		len(s.Spec.Tools), len(s.Spec.Programs), s.Spec.Runs, s.Spec.Warmup, s.Spec.SeedBase, regime, schedName, rngOrDefault(s.Spec.RNG, s.SchemaVersion), s.GoVersion)
+	out := fmt.Sprintf("perf: %d tool(s) × %d program(s), %d measured execs/cell (%d warmup), seed base %d, %s handoff, %s rng, %s\n\n",
+		len(s.Spec.Tools), len(s.Spec.Programs), s.Spec.Runs, s.Spec.Warmup, s.Spec.SeedBase,
+		handoffOrDefault(s.Spec.Handoff), rng.Canonical(s.Spec.RNG), s.GoVersion)
 	tb := &harness.Table{Header: []string{"tool", "execs", "ns/exec", "bytes/exec", "objects/exec", "execs/sec"}}
 	for _, ts := range s.Tools {
 		tb.AddRow(ts.Tool,
@@ -420,8 +381,8 @@ func (s *PerfSummary) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadPerfSummary reads a serialized perf artifact and sanity-checks its
-// schema header.
+// LoadPerfSummary reads a serialized perf artifact and checks its schema
+// header: only PerfSchemaVersion loads.
 func LoadPerfSummary(path string) (*PerfSummary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -434,8 +395,8 @@ func LoadPerfSummary(path string) (*PerfSummary, error) {
 	if s.Schema != PerfSchemaName {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, s.Schema, PerfSchemaName)
 	}
-	if s.SchemaVersion < 1 || s.SchemaVersion > PerfSchemaVersion {
-		return nil, fmt.Errorf("campaign: %s: schema version %d, this build understands 1..%d",
+	if s.SchemaVersion != PerfSchemaVersion {
+		return nil, fmt.Errorf("campaign: %s: schema version %d, this build understands %d",
 			path, s.SchemaVersion, PerfSchemaVersion)
 	}
 	return &s, nil

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +60,8 @@ func TestRunPerfProducesArtifact(t *testing.T) {
 	}
 }
 
+// TestLoadPerfSummaryRejectsWrongSchema: a foreign schema and any version
+// but the current one (a v2 artifact here) are refused with an error.
 func TestLoadPerfSummaryRejectsWrongSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	sum := &PerfSummary{Schema: "other/schema", SchemaVersion: 1}
@@ -67,5 +70,12 @@ func TestLoadPerfSummaryRejectsWrongSchema(t *testing.T) {
 	}
 	if _, err := LoadPerfSummary(path); err == nil {
 		t.Fatal("wrong schema must be rejected")
+	}
+	sum = &PerfSummary{Schema: PerfSchemaName, SchemaVersion: 2}
+	if err := sum.WriteJSON(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPerfSummary(path); err == nil || !strings.Contains(err.Error(), "schema version 2") {
+		t.Fatalf("v2 artifact: err = %v, want a schema version error", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"c11tester/internal/harness"
+	"c11tester/internal/rng"
 )
 
 // PerfToolDelta is the per-tool movement between two perf artifacts
@@ -65,30 +66,14 @@ type PerfComparison struct {
 	// comparable between identical Go versions.
 	GoVersionOld string `json:"go_version_old"`
 	GoVersionNew string `json:"go_version_new"`
-	// RegimeOld/New flag scheduler-regime skew ("<handoff>/<pooled|respawn>",
-	// schema v2): comparing artifacts from different handoff regimes measures
-	// the regime, not the code change.
+	// RegimeOld/New flag handoff-regime skew: comparing artifacts from
+	// different handoff regimes measures the regime, not the code change.
 	RegimeOld string `json:"regime_old,omitempty"`
 	RegimeNew string `json:"regime_new,omitempty"`
-	// RNGOld/New flag random-source skew (schema v3): changing the source
-	// changes every decision stream, so the work measured differs too.
+	// RNGOld/New flag random-source skew: changing the source changes every
+	// decision stream, so the work measured differs too.
 	RNGOld string `json:"rng_old,omitempty"`
 	RNGNew string `json:"rng_new,omitempty"`
-}
-
-// regimeOf renders a summary's scheduler regime for skew warnings; schema v1
-// artifacts predate the fields.
-func regimeOf(s *PerfSummary) string {
-	if s.SchemaVersion < 2 {
-		return ""
-	}
-	return handoffOrDefault(s.Spec.Handoff) + "/" + schedLabel(s.Spec.Pooled)
-}
-
-// rngSourceOf resolves the random source a perf artifact was measured on:
-// pre-v3 artifacts predate the echo and were drawn from legacy math/rand.
-func rngSourceOf(s *PerfSummary) string {
-	return rngOrDefault(s.Spec.RNG, s.SchemaVersion)
 }
 
 // ComparePerf diffs two perf artifacts. nsTolPct is the ns/exec tolerance
@@ -99,8 +84,8 @@ func ComparePerf(old, new *PerfSummary, nsTolPct, allocTolPct float64) *PerfComp
 	c := &PerfComparison{
 		NsTolPct: nsTolPct, AllocTolPct: allocTolPct,
 		GoVersionOld: old.GoVersion, GoVersionNew: new.GoVersion,
-		RegimeOld: regimeOf(old), RegimeNew: regimeOf(new),
-		RNGOld: rngSourceOf(old), RNGNew: rngSourceOf(new),
+		RegimeOld: handoffOrDefault(old.Spec.Handoff), RegimeNew: handoffOrDefault(new.Spec.Handoff),
+		RNGOld: rng.Canonical(old.Spec.RNG), RNGNew: rng.Canonical(new.Spec.RNG),
 	}
 	oldTools := map[string]*PerfToolSummary{}
 	for i := range old.Tools {
@@ -170,11 +155,11 @@ func (c *PerfComparison) String() string {
 	if c.GoVersionOld != c.GoVersionNew {
 		out += "WARNING: artifacts were produced by different Go versions; allocation counts may differ for toolchain reasons\n"
 	}
-	if c.RegimeOld != c.RegimeNew && c.RegimeOld != "" && c.RegimeNew != "" {
-		out += fmt.Sprintf("WARNING: scheduler regimes differ (%s vs %s); the comparison measures the regime, not the change\n",
+	if c.RegimeOld != c.RegimeNew {
+		out += fmt.Sprintf("WARNING: handoff regimes differ (%s vs %s); the comparison measures the regime, not the change\n",
 			c.RegimeOld, c.RegimeNew)
 	}
-	if c.RNGOld != c.RNGNew && c.RNGOld != "" && c.RNGNew != "" {
+	if c.RNGOld != c.RNGNew {
 		out += fmt.Sprintf("WARNING: rng sources differ (%s vs %s); decision streams and per-exec work are not like for like\n",
 			c.RNGOld, c.RNGNew)
 	}

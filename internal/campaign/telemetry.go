@@ -242,22 +242,11 @@ func (t *Telemetry) bind(spec Spec) {
 			t.litMet[i][l] = newCell(tool.Name, test.Name)
 		}
 	}
-	cellExecs := spec.Runs
-	if spec.Shard.Count > 1 {
-		// A sharded run only plans its round-robin share of each cell's chunk
-		// sequence (every cell deals identically, so one cell's share scales).
-		cellExecs = 0
-		ord := 0
-		for lo := 0; lo < spec.Runs; lo += spec.ShardSize {
-			hi := lo + spec.ShardSize
-			if hi > spec.Runs {
-				hi = spec.Runs
-			}
-			if ord%spec.Shard.Count == spec.Shard.Index {
-				cellExecs += hi - lo
-			}
-			ord++
-		}
+	// A sharded run only plans its deal of each cell's chunks (every cell
+	// deals identically, so one cell's share scales).
+	cellExecs := 0
+	for _, r := range spec.shardRanges() {
+		cellExecs += r[1] - r[0]
 	}
 	t.execsPlanned = cellExecs * len(spec.Tools) * (len(spec.Benchmarks) + len(spec.Litmus))
 	t.plannedG.Set(int64(t.execsPlanned))
@@ -362,8 +351,8 @@ func (t *Telemetry) unitStart(wave int, j job, budget int) {
 }
 
 // unitDone folds one completed unit into the campaign-level progress state
-// and emits its events: race_first_seen (per race key new to the unit's tool
-// instance, with the repro triple of the unit's earliest execution showing
+// and emits its events: race_first_seen (per race key new to the unit's
+// CellState, with the repro triple of the unit's earliest execution showing
 // it), analyzer_finding (per deduplicated finding, repro flags including the
 // -analyzers selection), forbidden_outcome, engine_failure, trace_recorded,
 // capture, and cell_end. All event contents derive from the unit's state

@@ -51,10 +51,6 @@ func (o ToolOptions) reproFlags(tool string) string {
 		if o.QuantumMean != 0 {
 			parts = append(parts, fmt.Sprintf("-quantum %d", o.QuantumMean))
 		}
-	case "tsan11rec":
-		if o.FaithfulHandoff {
-			parts = append(parts, "-faithful-handoff")
-		}
 	}
 	if o.MaxSteps != 0 {
 		parts = append(parts, fmt.Sprintf("-max-steps %d", o.MaxSteps))
@@ -79,20 +75,11 @@ type ToolOptions struct {
 	QuantumMean int
 	// MaxSteps caps execution length; 0 keeps each tool's default.
 	MaxSteps uint64
-	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
-	// handoff (the Figure 14 regime) instead of the default coroutine
-	// handoff.
-	FaithfulHandoff bool
-	// Handoff, when non-empty, overrides every tool's scheduler handoff
-	// regime ("coro" or "osthread" — see sched.ParseHandoff); it takes
-	// precedence over FaithfulHandoff. Scheduling decisions and
-	// campaign outcomes are identical across regimes; only the handoff cost
-	// changes (the Figure 14 dimension cmd/c11bench measures).
+	// Handoff names every tool's scheduler handoff regime ("coro", the
+	// default, or "osthread" — see sched.ParseHandoff). Scheduling decisions
+	// and campaign outcomes are identical across regimes; only the handoff
+	// cost changes (the Figure 14 dimension cmd/c11bench measures).
 	Handoff string
-	// Respawn disables the scheduler's fiber pool (fresh goroutine per model
-	// thread per execution, see sched.Config.Respawn) — the pre-pool regime,
-	// kept as the second Figure 14 benchmark dimension.
-	Respawn bool
 	// RNG selects the random source behind every decision the tools make
 	// ("pcg" — the default splitmix-seeded PCG — or "legacy", math/rand).
 	// Changing the source changes every scheduling and reads-from decision,
@@ -127,8 +114,6 @@ func (o ToolOptions) traceConfig(tool string) trace.ToolConfig {
 		}
 	case "tsan11":
 		tc.QuantumMean = o.QuantumMean
-	case "tsan11rec":
-		tc.FaithfulHandoff = o.FaithfulHandoff
 	}
 	if r := rng.Canonical(o.RNG); r != "pcg" {
 		tc.RNG = r
@@ -143,12 +128,11 @@ func StandardToolFromConfig(tc trace.ToolConfig) (ToolSpec, error) {
 		return ToolSpec{}, err
 	}
 	return StandardTool(tc.Name, ToolOptions{
-		Prune:           prune,
-		Strategy:        tc.Sched,
-		QuantumMean:     tc.QuantumMean,
-		MaxSteps:        tc.MaxSteps,
-		FaithfulHandoff: tc.FaithfulHandoff,
-		RNG:             tc.RNG,
+		Prune:       prune,
+		Strategy:    tc.Sched,
+		QuantumMean: tc.QuantumMean,
+		MaxSteps:    tc.MaxSteps,
+		RNG:         tc.RNG,
 	})
 }
 
@@ -250,9 +234,10 @@ func StandardToolNames() []string {
 
 // StandardTool builds the ToolSpec for one of the paper's three tools.
 func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
-	// Validate the handoff and rng overrides once here; the factories below
-	// run on worker goroutines where an error has nowhere to go.
-	if _, err := sched.ParseHandoff(opts.Handoff); err != nil {
+	// Parse the handoff and rng names once here; the factories below run on
+	// worker goroutines where an error has nowhere to go.
+	handoff, err := sched.ParseHandoff(opts.Handoff)
+	if err != nil {
 		return ToolSpec{}, err
 	}
 	rngKind, err := rng.Parse(opts.RNG)
@@ -279,10 +264,8 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			} else {
 				strat = core.NewRandomStrategyKind(rngKind)
 			}
-			schedCfg := sched.MustHandoff(opts.Handoff) // "" is the coro default
-			schedCfg.Respawn = opts.Respawn
 			return core.New(name, core.NewC11Model(), core.Config{
-				Sched:      schedCfg,
+				Handoff:    handoff,
 				StoreBurst: true,
 				Prune:      opts.Prune,
 				Strategy:   strat,
@@ -295,19 +278,16 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			return baseline.NewTsan11(baseline.Options{
 				QuantumMean: opts.QuantumMean,
 				MaxSteps:    opts.MaxSteps,
-				Handoff:     opts.Handoff,
-				Respawn:     opts.Respawn,
+				Handoff:     handoff,
 				RNG:         rngKind,
 			})
 		}}, nil
 	case "tsan11rec":
 		return ToolSpec{Name: name, Baseline: true, ReproFlags: opts.reproFlags(name), TraceConfig: opts.traceConfig(name), New: func() capi.Tool {
 			return baseline.NewTsan11rec(baseline.Options{
-				MaxSteps:    opts.MaxSteps,
-				FastHandoff: !opts.FaithfulHandoff,
-				Handoff:     opts.Handoff,
-				Respawn:     opts.Respawn,
-				RNG:         rngKind,
+				MaxSteps: opts.MaxSteps,
+				Handoff:  handoff,
+				RNG:      rngKind,
 			})
 		}}, nil
 	}

@@ -37,8 +37,9 @@ const (
 
 // Config configures an engine.
 type Config struct {
-	// Sched selects the handoff regime (see internal/sched).
-	Sched sched.Config
+	// Handoff selects the scheduler handoff regime (see internal/sched); the
+	// zero value is the coroutine handoff.
+	Handoff sched.Handoff
 	// Strategy plugs in the exploration strategy (Section 3's pluggable
 	// framework). Nil means the default random strategy.
 	Strategy Strategy
@@ -492,7 +493,7 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 // next execution never observing recycled state from the previous one.
 func (e *Engine) resetExecState(seed int64) {
 	if e.sch == nil {
-		e.sch = sched.New(e.cfg.Sched)
+		e.sch = sched.New(e.cfg.Handoff)
 		e.sch.SetMeasureWait(e.measureWait)
 	} else {
 		e.sch.Reset()

@@ -18,9 +18,3 @@ func (t *Thread) coroLoop(yield func(struct{}) bool) {
 	for !t.runOnce() && yield(struct{}{}) {
 	}
 }
-
-// coroOnce is the body of a respawn-mode coroutine: one binding, then return.
-func (t *Thread) coroOnce(yield func(struct{}) bool) {
-	t.yield = yield
-	t.runOnce()
-}

@@ -11,9 +11,9 @@ import (
 )
 
 // coroGoroutines counts the goroutines that run a pooled coro worker from a
-// dump of every goroutine's stack. runtime.NumGoroutine would also count goroutines that earlier tests
-// (respawn-mode threads, retired osthread workers) left exiting, which makes
-// it drift by one now and then under -race.
+// dump of every goroutine's stack. runtime.NumGoroutine would also count
+// goroutines that earlier tests (retired osthread workers) left exiting,
+// which makes it drift by one now and then under -race.
 func coroGoroutines() int {
 	buf := make([]byte, 1<<16)
 	for {
@@ -63,7 +63,7 @@ func runCalls(t *testing.T, s *Scheduler, n int) []*Thread {
 // goroutine count returns to its baseline.
 func TestShutdownEndsEveryCoroutine(t *testing.T) {
 	base := coroGoroutines()
-	s := New(Config{})
+	s := New(Coro)
 	runCalls(t, s, 3)
 	if got := coroGoroutines(); got != base+3 {
 		t.Fatalf("goroutines = %d with 3 workers, want %d", got, base+3)
@@ -100,7 +100,7 @@ func TestConcurrentSchedulersShutdown(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				s := New(Config{})
+				s := New(Coro)
 				for e := 0; e < 3; e++ {
 					s.Reset()
 					runCalls(t, s, 1+(i+e)%4)
@@ -118,9 +118,9 @@ func TestConcurrentSchedulersShutdown(t *testing.T) {
 // BenchmarkHandoff measures one Reply round trip — the tool resumes a parked
 // thread and waits until it parks on its next operation — per regime.
 func BenchmarkHandoff(b *testing.B) {
-	for _, name := range HandoffRegimes() {
-		b.Run(name, func(b *testing.B) {
-			s := New(MustHandoff(name))
+	for _, h := range HandoffRegimes() {
+		b.Run(h.String(), func(b *testing.B) {
+			s := New(h)
 			op := &capi.Op{Kind: memmodel.KLoad}
 			th := s.NewThread("spin", func(th *Thread) {
 				for {

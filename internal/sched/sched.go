@@ -12,18 +12,19 @@
 // (name, body) instead of starting one. Steady-state executions therefore
 // start zero goroutines and allocate nothing — the analogue of C11Tester
 // reusing its fiber stacks across executions rather than paying thread
-// creation per run (Section 7.3). Config.Respawn restores the
-// start-per-thread regime as a benchmark dimension.
+// creation per run (Section 7.3).
 //
-// The handoff mechanism is configurable, mirroring the design space the
-// paper measures in Figure 14:
+// The handoff mechanism is one value, Handoff, mirroring the two rows of
+// the paper's Figure 14 comparison:
 //
-//   - coroutine handoff ("coro", the default) runs each worker as a pulled
-//     coroutine (iter.Pull): a handoff is a direct goroutine switch that
-//     bypasses the Go scheduler, the analogue of §7.3's swapcontext fibers;
-//   - condition-variable handoff between goroutines pinned to kernel threads
-//     ("osthread", LockOSThread) makes every handoff a real OS context
-//     switch, the regime tsan11rec operates in.
+//   - Coro (the zero value, so every tool's default) runs each worker as a
+//     pulled coroutine (iter.Pull): a handoff is a direct goroutine switch
+//     that bypasses the Go scheduler, the analogue of §7.3's swapcontext
+//     fibers;
+//   - OSThread hands off through condition variables between goroutines
+//     pinned to kernel threads (LockOSThread), so every handoff is a real OS
+//     context switch, the regime tsan11rec's kernel-thread sequencing
+//     operates in.
 //
 // A Scheduler owns its workers: Shutdown ends them all. Starting a worker
 // costs a few allocations (pulling a coroutine, or starting a goroutine), so
@@ -88,50 +89,30 @@ const (
 
 var handoffNames = [...]string{Coro: "coro", OSThread: "osthread"}
 
-// Config selects the handoff regime and the worker lifecycle.
-type Config struct {
-	Handoff Handoff
-	// Respawn disables the fiber pool: every NewThread starts a fresh worker
-	// that exits when its body returns, instead of re-binding a parked
-	// worker. This is the pre-pool regime, kept as a benchmark dimension of
-	// the Figure 14 handoff matrix (pooled vs respawn).
-	Respawn bool
-}
+// String returns the regime's ParseHandoff name.
+func (h Handoff) String() string { return handoffNames[h] }
 
-// HandoffRegimes lists the Figure 14 handoff regime names in the paper's
-// order: user-level switches first, full kernel-thread sequencing last.
-func HandoffRegimes() []string { return append([]string(nil), handoffNames[:]...) }
+// HandoffRegimes lists the Figure 14 handoff regimes in the paper's order:
+// user-level switches first, full kernel-thread sequencing last.
+func HandoffRegimes() []Handoff { return []Handoff{Coro, OSThread} }
 
-// ParseHandoff maps a handoff regime name onto a scheduler configuration;
-// "" is the default, "coro". The Respawn bit is orthogonal and left false.
-func ParseHandoff(name string) (Config, error) {
+// ParseHandoff maps a handoff regime name onto its Handoff; "" is the
+// default, Coro.
+func ParseHandoff(name string) (Handoff, error) {
 	if name == "" {
-		return Config{}, nil
+		return Coro, nil
 	}
 	for h, n := range handoffNames {
 		if n == name {
-			return Config{Handoff: Handoff(h)}, nil
+			return Handoff(h), nil
 		}
 	}
-	return Config{}, fmt.Errorf("sched: unknown handoff regime %q (want coro or osthread)", name)
+	return Coro, fmt.Errorf("sched: unknown handoff regime %q (want coro or osthread)", name)
 }
 
-// MustHandoff is ParseHandoff for already-validated names; it panics on an
-// unknown regime.
-func MustHandoff(name string) Config {
-	cfg, err := ParseHandoff(name)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
-// HandoffName renders a Config's handoff regime as its ParseHandoff name.
-func HandoffName(cfg Config) string { return handoffNames[cfg.Handoff] }
-
-// Thread is one managed thread of the program under test. In pooled mode the
-// handle owns a persistent worker that serves one thread binding per
-// execution and parks between executions.
+// Thread is one managed thread of the program under test. The handle owns a
+// persistent worker that serves one thread binding per execution and parks
+// between executions.
 type Thread struct {
 	ID   memmodel.TID
 	Name string
@@ -185,7 +166,7 @@ func (t *Thread) Call(op *capi.Op) {
 	}
 	t.pending = op
 	t.state = Ready
-	if t.sched.cfg.Handoff == Coro {
+	if t.sched.handoff == Coro {
 		t.yield(struct{}{})
 	} else {
 		t.sched.events <- t
@@ -233,13 +214,6 @@ func (t *Thread) workerLoop() {
 	}
 }
 
-// runRespawn is the body of a respawn-mode osthread goroutine: one binding,
-// then exit.
-func (t *Thread) runRespawn() {
-	runtime.LockOSThread()
-	t.runOnce()
-}
-
 // runOnce runs the worker's current binding to completion, converting an
 // abort unwind into a clean finish, and reports whether the worker must be
 // retired. Everything the tool goroutine may read — state, PanicValue, dead —
@@ -258,7 +232,7 @@ func (t *Thread) runOnce() (retire bool) {
 		t.body = nil
 		t.state = Finished
 		t.pending = nil
-		if t.sched.cfg.Handoff != Coro {
+		if t.sched.handoff != Coro {
 			t.sched.events <- t
 		}
 	}()
@@ -272,21 +246,19 @@ func (t *Thread) runOnce() (retire bool) {
 // coroutines or condition variables) to the next execution's threads, so
 // steady-state executions start no goroutines and allocate nothing.
 type Scheduler struct {
-	cfg      Config
+	handoff  Handoff
 	threads  []*Thread
 	events   chan *Thread // settle events; nil in the coro regime
 	aborting bool
 
-	// pool recycles Thread handles (and, in pooled mode, their workers)
-	// across executions; pool[i] serves TID i. All threads of the previous
-	// execution have settled as Finished by the time Reset hands a slot out
-	// again.
+	// pool recycles Thread handles and their workers across executions;
+	// pool[i] serves TID i. All threads of the previous execution have
+	// settled as Finished by the time Reset hands a slot out again.
 	pool []*Thread
 
 	// spawns counts the workers (goroutines or coroutines) the scheduler
-	// started over its lifetime. In pooled mode it stops growing once the
-	// pool covers the program's thread count — the invariant the fiber-pool
-	// tests pin.
+	// started over its lifetime. It stops growing once the pool covers the
+	// program's thread count — the invariant the fiber-pool tests pin.
 	spawns int
 
 	// measureWait, when set, times every waitSettle park — the tool-side
@@ -302,16 +274,13 @@ type Scheduler struct {
 
 // New returns a scheduler. The same instance is reused across executions via
 // Reset; call Shutdown when discarding it so the pooled workers are released.
-func New(cfg Config) *Scheduler {
-	s := &Scheduler{cfg: cfg}
-	if cfg.Handoff != Coro {
+func New(h Handoff) *Scheduler {
+	s := &Scheduler{handoff: h}
+	if h != Coro {
 		s.events = make(chan *Thread)
 	}
 	return s
 }
-
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // Reset prepares the scheduler for a new execution. It must only be called
 // after the previous execution fully ended (all threads Finished, via normal
@@ -370,21 +339,20 @@ func (s *Scheduler) WorkerCount() int {
 	return n
 }
 
-// Spawns returns the number of workers the scheduler has started. In pooled
-// mode it is constant across steady-state executions; in respawn mode it
-// grows by the thread count every execution.
+// Spawns returns the number of workers the scheduler has started. It is
+// constant across steady-state executions.
 func (s *Scheduler) Spawns() int { return s.spawns }
 
 // NewThread creates a managed thread running body and blocks until it
 // settles (parks on its first operation, or finishes). body receives the
 // thread handle so the tool can wire up its Env.
 //
-// In pooled mode the thread is served by the slot's parked worker; a worker
-// is only started when the slot is new or its previous worker was retired.
+// The thread is served by the slot's parked worker; a worker is only started
+// when the slot is new or its previous worker was retired.
 func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
 	var t *Thread
-	if idx < len(s.pool) && (s.cfg.Respawn || !s.pool[idx].dead) {
+	if idx < len(s.pool) && !s.pool[idx].dead {
 		t = s.pool[idx]
 		// t.replied is deliberately not touched: every signal is consumed by
 		// the worker before it parks (Call, abort unwind, or retirement), so
@@ -406,37 +374,22 @@ func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	t.dead = false
 	s.threads = append(s.threads, t)
 	t.body = body
-	if !s.cfg.Respawn {
-		s.resume(t)
-		return t
-	}
-	s.spawns++
-	if s.cfg.Handoff == Coro {
-		t.pull(t.coroOnce)
-	} else {
-		go t.runRespawn()
-	}
-	s.waitSettle(t)
+	s.resume(t)
 	return t
 }
 
-// worker returns the handle for a new pool slot, or for a slot whose worker
-// was retired. In pooled mode it also starts the worker and counts it as a
-// spawn: a coro worker is pulled and runs its first binding on its first
-// next(); an osthread worker goroutine starts parked, awaiting its first
-// binding.
+// worker starts a worker for a new pool slot, or for a slot whose worker was
+// retired, and counts it as a spawn: a coro worker is pulled and runs its
+// first binding on its first next(); an osthread worker goroutine starts
+// parked, awaiting its first binding.
 func (s *Scheduler) worker() *Thread {
 	t := &Thread{sched: s}
-	if s.cfg.Handoff == OSThread {
+	s.spawns++
+	if s.handoff == Coro {
+		t.pull(t.coroLoop)
+	} else {
 		t.cond = sync.NewCond(&t.mu)
-	}
-	if !s.cfg.Respawn {
-		s.spawns++
-		if s.cfg.Handoff == Coro {
-			t.pull(t.coroLoop)
-		} else {
-			go t.workerLoop()
-		}
+		go t.workerLoop()
 	}
 	return t
 }
@@ -464,7 +417,7 @@ func (s *Scheduler) Reply(t *Thread) State {
 
 // resume wakes t's parked worker and blocks until t settles again.
 func (s *Scheduler) resume(t *Thread) {
-	if s.cfg.Handoff != Coro {
+	if s.handoff != Coro {
 		t.signalReply()
 	}
 	s.waitSettle(t)
@@ -479,7 +432,7 @@ func (s *Scheduler) waitSettle(t *Thread) {
 	if s.measureWait {
 		t0 = time.Now()
 	}
-	if s.cfg.Handoff == Coro {
+	if s.handoff == Coro {
 		t.next()
 	} else if ev := <-s.events; ev != t {
 		panic(fmt.Sprintf("sched: thread %d settled while waiting for %d", ev.ID, t.ID))
@@ -511,18 +464,16 @@ func (s *Scheduler) Abort() {
 // discarded so long-lived processes (campaign runners) do not accumulate
 // parked workers.
 func (s *Scheduler) Shutdown() {
-	if !s.cfg.Respawn {
-		for _, t := range s.pool {
-			if t.dead {
-				continue
-			}
-			t.dead = true
-			if s.cfg.Handoff == Coro {
-				t.stop() // a parked coroLoop's yield returns false: it returns
-			} else {
-				t.body = nil
-				t.signalReply() // nil body: the worker exits its loop
-			}
+	for _, t := range s.pool {
+		if t.dead {
+			continue
+		}
+		t.dead = true
+		if s.handoff == Coro {
+			t.stop() // a parked coroLoop's yield returns false: it returns
+		} else {
+			t.body = nil
+			t.signalReply() // nil body: the worker exits its loop
 		}
 	}
 	s.pool = nil

@@ -10,9 +10,9 @@ import (
 // drive runs a trivial tool loop over the scheduler: process pending ops in
 // the order pick() dictates until all threads finish. Each op's Val result
 // is set to its own sequence in processing order.
-func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
+func drive(t *testing.T, h Handoff, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
 	t.Helper()
-	s := New(cfg)
+	s := New(h)
 	defer s.Shutdown()
 	var processed []memmodel.Kind
 	s.NewThread("main", body)
@@ -36,7 +36,7 @@ func first(ready []*Thread) *Thread { return ready[0] }
 
 func TestSingleThreadOpsInOrder(t *testing.T) {
 	kinds := []memmodel.Kind{memmodel.KLoad, memmodel.KStore, memmodel.KFence}
-	got := drive(t, Config{}, func(th *Thread) {
+	got := drive(t, Coro, func(th *Thread) {
 		for _, k := range kinds {
 			op := &capi.Op{Kind: k}
 			th.Call(op)
@@ -56,32 +56,28 @@ func TestSingleThreadOpsInOrder(t *testing.T) {
 }
 
 // TestEveryHandoffRegime runs a thread through every Figure 14 handoff
-// regime, pooled and respawning: each must deliver both ops in order.
+// regime: each must deliver both ops in order.
 func TestEveryHandoffRegime(t *testing.T) {
-	for _, name := range HandoffRegimes() {
-		for _, respawn := range []bool{false, true} {
-			cfg := MustHandoff(name)
-			cfg.Respawn = respawn
-			got := drive(t, cfg, func(th *Thread) {
-				th.Call(&capi.Op{Kind: memmodel.KLoad})
-				th.Call(&capi.Op{Kind: memmodel.KStore})
-			}, first)
-			if len(got) != 2 || got[0] != memmodel.KLoad || got[1] != memmodel.KStore {
-				t.Fatalf("%s respawn=%v: processed %v", name, respawn, got)
-			}
+	for _, h := range HandoffRegimes() {
+		got := drive(t, h, func(th *Thread) {
+			th.Call(&capi.Op{Kind: memmodel.KLoad})
+			th.Call(&capi.Op{Kind: memmodel.KStore})
+		}, first)
+		if len(got) != 2 || got[0] != memmodel.KLoad || got[1] != memmodel.KStore {
+			t.Fatalf("%s: processed %v", h, got)
 		}
 	}
 }
 
 func TestParseHandoff(t *testing.T) {
-	for _, name := range HandoffRegimes() {
-		cfg, err := ParseHandoff(name)
-		if err != nil || HandoffName(cfg) != name {
-			t.Errorf("ParseHandoff(%q) = %+v, %v; name round trip %q", name, cfg, err, HandoffName(cfg))
+	for _, h := range HandoffRegimes() {
+		got, err := ParseHandoff(h.String())
+		if err != nil || got != h {
+			t.Errorf("ParseHandoff(%q) = %v, %v; want %v", h.String(), got, err, h)
 		}
 	}
-	if cfg, err := ParseHandoff(""); err != nil || HandoffName(cfg) != "coro" {
-		t.Errorf("default regime = %q, %v; want coro", HandoffName(cfg), err)
+	if h, err := ParseHandoff(""); err != nil || h != Coro || h.String() != "coro" {
+		t.Errorf("default regime = %q, %v; want coro", h, err)
 	}
 	if _, err := ParseHandoff("cond"); err == nil {
 		t.Error("ParseHandoff accepted the removed cond regime")
@@ -89,7 +85,7 @@ func TestParseHandoff(t *testing.T) {
 }
 
 func TestBlockAndWake(t *testing.T) {
-	s := New(Config{})
+	s := New(Coro)
 	order := []string{}
 	main := s.NewThread("main", func(th *Thread) {
 		th.Call(&capi.Op{Kind: memmodel.KMutexLock})
@@ -115,7 +111,7 @@ func TestBlockAndWake(t *testing.T) {
 }
 
 func TestNestedSpawn(t *testing.T) {
-	s := New(Config{})
+	s := New(Coro)
 	var childSeen bool
 	main := s.NewThread("main", func(th *Thread) {
 		op := &capi.Op{Kind: memmodel.KThreadCreate}
@@ -142,7 +138,7 @@ func TestNestedSpawn(t *testing.T) {
 }
 
 func TestAbortUnwindsThreads(t *testing.T) {
-	s := New(Config{})
+	s := New(Coro)
 	cleanedUp := false
 	s.NewThread("main", func(th *Thread) {
 		defer func() { cleanedUp = true }()
@@ -160,7 +156,7 @@ func TestAbortUnwindsThreads(t *testing.T) {
 }
 
 func TestPanicCaptured(t *testing.T) {
-	s := New(Config{})
+	s := New(Coro)
 	th := s.NewThread("main", func(th *Thread) {
 		panic("boom")
 	})
@@ -174,12 +170,10 @@ func TestPanicCaptured(t *testing.T) {
 
 // TestFiberPoolReusesWorkers pins the tentpole invariant: after the first
 // execution warms the pool, further executions start zero goroutines, in
-// every handoff regime. Respawn mode, by contrast, spawns per thread per
-// execution.
+// every handoff regime.
 func TestFiberPoolReusesWorkers(t *testing.T) {
-	for _, name := range HandoffRegimes() {
-		cfg := MustHandoff(name)
-		s := New(cfg)
+	for _, h := range HandoffRegimes() {
+		s := New(h)
 		runOnce := func() {
 			for i := 0; i < 3; i++ {
 				s.NewThread("t", func(t *Thread) {
@@ -193,31 +187,22 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 		runOnce()
 		warm := s.Spawns()
 		if warm != 3 {
-			t.Fatalf("%s: first execution spawned %d goroutines, want 3", HandoffName(cfg), warm)
+			t.Fatalf("%s: first execution spawned %d goroutines, want 3", h, warm)
 		}
 		for i := 0; i < 5; i++ {
 			s.Reset()
 			runOnce()
 		}
 		if got := s.Spawns(); got != warm {
-			t.Errorf("%s: steady state spawned %d extra goroutines, want 0", HandoffName(cfg), got-warm)
+			t.Errorf("%s: steady state spawned %d extra goroutines, want 0", h, got-warm)
 		}
 		if got := s.WorkerCount(); got != 3 {
-			t.Errorf("%s: worker count = %d, want 3", HandoffName(cfg), got)
+			t.Errorf("%s: worker count = %d, want 3", h, got)
 		}
 		s.Shutdown()
 		if got := s.WorkerCount(); got != 0 {
-			t.Errorf("%s: worker count after shutdown = %d, want 0", HandoffName(cfg), got)
+			t.Errorf("%s: worker count after shutdown = %d, want 0", h, got)
 		}
-
-		s = New(Config{Handoff: cfg.Handoff, Respawn: true})
-		runOnce()
-		s.Reset()
-		runOnce()
-		if got := s.Spawns(); got != 6 {
-			t.Errorf("%s respawn: spawns = %d, want 6 (one per thread per execution)", HandoffName(cfg), got)
-		}
-		s.Shutdown()
 	}
 }
 
@@ -226,7 +211,7 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 // replaces it with a fresh goroutine — while abort unwinds keep workers
 // pooled.
 func TestWorkerRetiredAfterPanic(t *testing.T) {
-	s := New(Config{})
+	s := New(Coro)
 	th := s.NewThread("bomb", func(th *Thread) {
 		panic("boom")
 	})
@@ -278,7 +263,7 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 }
 
 func TestSchedulerResetRecyclesThreads(t *testing.T) {
-	s := New(Config{})
+	s := New(Coro)
 	runOnce := func(wantRecycled []*Thread) []*Thread {
 		var handles []*Thread
 		for i := 0; i < 3; i++ {

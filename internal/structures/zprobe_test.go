@@ -14,7 +14,7 @@ func TestShapeProbe(t *testing.T) {
 	mk := map[string]func() capi.Tool{
 		"c11tester": func() capi.Tool { return core.New("c11tester", core.NewC11Model(), core.Config{StoreBurst: true}) },
 		"tsan11":    func() capi.Tool { return baseline.NewTsan11(baseline.Options{}) },
-		"tsan11rec": func() capi.Tool { return baseline.NewTsan11rec(baseline.Options{FastHandoff: true}) },
+		"tsan11rec": func() capi.Tool { return baseline.NewTsan11rec(baseline.Options{}) },
 	}
 	for _, b := range DataStructures() {
 		line := b.Name + ": "

@@ -40,12 +40,11 @@ const (
 // reconstruct an identical tool for replay (the same execution function of
 // seed). Fields mirror the cmd/c11tester flags.
 type ToolConfig struct {
-	Name            string `json:"name"`
-	Prune           string `json:"prune,omitempty"`
-	Sched           string `json:"sched,omitempty"`
-	QuantumMean     int    `json:"quantum_mean,omitempty"`
-	MaxSteps        uint64 `json:"max_steps,omitempty"`
-	FaithfulHandoff bool   `json:"faithful_handoff,omitempty"`
+	Name        string `json:"name"`
+	Prune       string `json:"prune,omitempty"`
+	Sched       string `json:"sched,omitempty"`
+	QuantumMean int    `json:"quantum_mean,omitempty"`
+	MaxSteps    uint64 `json:"max_steps,omitempty"`
 	// RNG names a non-default random source ("legacy"); empty means the
 	// default PCG source. Replay must rebuild the tool on the same source:
 	// workload draws (env.RandUint64) depend on it.
