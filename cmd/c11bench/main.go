@@ -47,7 +47,6 @@ func run(args []string, out *os.File) int {
 		jsonPath = fs.String("json", "BENCH_perf.json", "perf artifact path ('' disables)")
 		handoff  = fs.String("handoff", "", "scheduler handoff regime of every tool: coro (the default) or osthread (Figure 14)")
 		fig14    = fs.Bool("fig14", false, "append the Figure 14 handoff regime × tool matrix over the selected programs")
-		rngSrc   = fs.String("rng", "pcg", "random source behind every tool decision: pcg (O(1) seed) or legacy (math/rand)")
 		compare  = fs.String("compare", "", "diff two perf artifacts: -compare old.json new.json (or old.json,new.json); exits 2 on regression")
 		nsTol    = fs.Float64("ns-tol", 20, "-compare: ns/exec tolerance band in percent (negative disables the timing leg)")
 		allocTol = fs.Float64("alloc-tol", 0, "-compare: allocation tolerance in percent (0 gates bytes/exec and objects/exec exactly)")
@@ -61,10 +60,10 @@ func run(args []string, out *os.File) int {
 		return runCompare(*compare, fs.Args(), *nsTol, *allocTol, out)
 	}
 
-	toolOpts := campaign.ToolOptions{Handoff: *handoff, RNG: *rngSrc}
+	toolOpts := campaign.ToolOptions{Handoff: *handoff}
 	spec := campaign.PerfSpec{
 		Runs: *runs, Warmup: *warmup, SeedBase: *seed,
-		Handoff: *handoff, RNG: *rngSrc,
+		Handoff: *handoff,
 	}
 	var toolNames []string
 	for _, name := range campaign.SplitList(*tools) {
@@ -110,7 +109,7 @@ func run(args []string, out *os.File) int {
 
 	sum := campaign.RunPerf(spec)
 	if *fig14 {
-		matrix, err := campaign.RunHandoffMatrix(spec, toolNames, campaign.ToolOptions{RNG: *rngSrc}, sum)
+		matrix, err := campaign.RunHandoffMatrix(spec, toolNames, campaign.ToolOptions{}, sum)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11bench:", err)
 			return 1

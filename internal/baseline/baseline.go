@@ -35,7 +35,6 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 	"c11tester/internal/memmodel"
-	"c11tester/internal/rng"
 	"c11tester/internal/sched"
 )
 
@@ -304,9 +303,6 @@ type Options struct {
 	// coroutine handoff for every tool, and sched.OSThread is the Figure 14
 	// kernel-thread row.
 	Handoff sched.Handoff
-	// RNG selects the random source behind the tool's strategy and workload
-	// draws (rng.PCG default, rng.Legacy for pre-PCG stream reproduction).
-	RNG rng.Kind
 }
 
 // NewTsan11 builds the tsan11 baseline: commit-order memory model,
@@ -320,10 +316,9 @@ func NewTsan11(opts Options) *core.Engine {
 	m.SetConservativeSync(!opts.PreciseSync)
 	return core.New("tsan11", m, core.Config{
 		Handoff:        opts.Handoff,
-		Strategy:       core.NewQuantumStrategyKind(opts.RNG, mean),
+		Strategy:       core.NewQuantumStrategy(mean),
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
-		RNG:            opts.RNG,
 	})
 }
 
@@ -333,11 +328,10 @@ func NewTsan11rec(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, true)
 	m.SetConservativeSync(!opts.PreciseSync)
 	// Strategy stays nil: Config.withDefaults builds the default random
-	// strategy on Config.RNG, so the rng source follows the option.
+	// strategy.
 	return core.New("tsan11rec", m, core.Config{
 		Handoff:        opts.Handoff,
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
-		RNG:            opts.RNG,
 	})
 }

@@ -11,8 +11,8 @@
 // results as a serial one (wall-clock timings excepted — those are
 // measurements, not model outcomes). The determinism test in this package
 // pins that property. Budget policies (internal/explore) preserve it: a
-// cell's stop point is a pure function of its own observation stream in
-// index order, and the freed-budget redistribution is computed at
+// cell's stop point is a pure function of the CellState of its executed
+// prefix, and the freed-budget redistribution is computed at
 // deterministic barriers between waves, so adaptive campaigns are as
 // worker-count-independent as uniform ones. Trace-guided cells preserve it
 // too: the replayed prefix depth is derived from the execution's seed.
@@ -20,7 +20,8 @@
 // Under the uniform policy, shards — contiguous execution-index ranges of
 // one cell — are the unit of work; under an adaptive policy the unit is a
 // whole-cell grant, run chunk-by-chunk with convergence checks between
-// chunks. Either way a unit runs its execution indices serially on its
+// chunks on the cell's state from earlier waves merged with the unit's own.
+// Either way a unit runs its execution indices serially on its
 // worker's instance of the cell's tool, folding them into a CellState. Tool
 // instances are not goroutine-safe, but their results do not depend on what
 // they ran before (capi.Tool), so each worker keeps one instance per tool
@@ -51,7 +52,6 @@ import (
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/obs"
-	"c11tester/internal/rng"
 	"c11tester/internal/trace"
 )
 
@@ -144,12 +144,6 @@ type Spec struct {
 	// axiomatic model of Appendix A, counting violations in the summary;
 	// executions of other tools are counted as skipped.
 	ValidateAxioms bool
-	// RNG echoes the random source the spec's tools were built with ("pcg"
-	// or "legacy"; empty means pcg) into the summary and the spec digest.
-	// Like PerfSpec.Handoff it does not itself configure the tools — the
-	// ToolSpec factories do (ToolOptions.RNG) — but Validate rejects unknown
-	// names so a typo fails fast instead of silently echoing the default.
-	RNG string
 	// Analyzers names the internal/analysis plug-ins to run over every
 	// finished execution (e.g. "sc-robustness", "atomicity"). Each cell
 	// builds its own instances; analyzers whose trace or modification-order
@@ -337,7 +331,8 @@ func Run(spec Spec) *Summary {
 	// Register the per-cell metric handles before the measured window so
 	// registration (the only allocating part of the metrics core) never
 	// shows up in the campaign's GC summary.
-	tel.bind(spec)
+	f := &fold{states: make([]CellState, len(spec.cellJobs()))}
+	tel.bind(spec, f)
 	tel.campaignStart(specInfo(spec))
 
 	var ms0 runtime.MemStats
@@ -345,7 +340,6 @@ func Run(spec Spec) *Summary {
 	start := time.Now()
 
 	ck := &ckState{path: spec.CheckpointPath, hook: spec.checkpointHook}
-	f := &fold{states: make([]CellState, len(spec.cellJobs()))}
 	p := newPool(spec)
 	var budgets []*BudgetSummary
 	_, uniform := spec.Policy.(explore.Uniform)
@@ -489,7 +483,7 @@ func runUniform(spec Spec, p *pool, tel *Telemetry, f *fold) {
 	p.run(len(jobs), func(w, i int) {
 		tel.unitStart(1, jobs[i], jobs[i].hi-jobs[i].lo)
 		r := newCellRunner(spec, jobs[i], p.tool(w, jobs[i].tool))
-		r.run(jobs[i].lo, jobs[i].hi, nil)
+		r.run(jobs[i].lo, jobs[i].hi)
 		r.release()
 		tel.unitDone(1, jobs[i], &r.st, r.captures)
 		f.add(spec, r)
@@ -506,7 +500,6 @@ type cellPlan struct {
 	kind    jobKind
 	tool    int
 	cell    int
-	tracker explore.Tracker
 	used    int
 	stopped bool // converged: excluded from further grants
 }
@@ -515,7 +508,7 @@ type cellPlan struct {
 func newPlans(spec Spec) []*cellPlan {
 	var plans []*cellPlan
 	for _, c := range spec.cellJobs() {
-		plans = append(plans, &cellPlan{kind: c.kind, tool: c.tool, cell: c.cell, tracker: spec.Policy.NewTracker()})
+		plans = append(plans, &cellPlan{kind: c.kind, tool: c.tool, cell: c.cell})
 	}
 	return plans
 }
@@ -532,7 +525,9 @@ func budgetsOf(spec Spec, plans []*cellPlan) []*BudgetSummary {
 
 // runAdaptive is the adaptive-budget path. Wave 0 gives every cell its
 // initial budget of Runs executions, run chunk-by-chunk with a convergence
-// check between chunks; cells that converge stop early. The unspent budget
+// check between chunks; cells that converge stop early. A check reads the
+// cell's folded state from earlier waves merged with the unit's own, so it
+// sees exactly the cell's executed prefix. The unspent budget
 // of converged cells forms a pool that later waves grant, one chunk per
 // still-diverging cell per wave in matrix order, until the pool is exhausted
 // or every cell converged. The total never exceeds Runs × cells, and every
@@ -556,7 +551,7 @@ func runAdaptive(spec Spec, p *pool, tel *Telemetry, ck *ckState, f *fold) []*Bu
 	wave := 0
 	if spec.Resume != nil {
 		// Re-enter at the last completed wave: plans get their used/stopped
-		// budgets and tracker state back, and the cells their folded state.
+		// budgets back, and the cells their folded state.
 		wave = spec.Resume.Wave
 		restore(spec.Resume, f, plans)
 	}
@@ -570,7 +565,10 @@ func runAdaptive(spec Spec, p *pool, tel *Telemetry, ck *ckState, f *fold) []*Bu
 		p.run(len(grants), func(w, i int) {
 			tel.unitStart(wave, waveJobs[i], grants[i].budget)
 			r := newCellRunner(spec, waveJobs[i], p.tool(w, waveJobs[i].tool))
-			used := r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, grants[i].plan.tracker)
+			// Only this unit folds into its cell during the wave, and only
+			// after it finishes, so the earlier waves' state is stable here.
+			prior := &f.states[spec.cellIndex(waveJobs[i])]
+			used := r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, prior)
 			r.release()
 			waveJobs[i].hi = waveJobs[i].lo + used
 			tel.unitDone(wave, waveJobs[i], &r.st, r.captures)
@@ -581,11 +579,13 @@ func runAdaptive(spec Spec, p *pool, tel *Telemetry, ck *ckState, f *fold) []*Bu
 			used := waveJobs[i].hi - waveJobs[i].lo
 			g.plan.used += used
 			wasStopped := g.plan.stopped
-			g.plan.stopped = g.plan.tracker.Converged()
-			// Convergence introspection happens here — at the barrier, from
-			// per-cell-deterministic tracker state — so the snapshot stream
-			// (and /debug/converge) is identical for any worker count.
-			tel.convergeState(wave, waveJobs[i], g.plan.tracker)
+			st := &f.states[spec.cellIndex(waveJobs[i])]
+			mm := explore.Estimate(st.Execs, st.singletons(&CellState{}))
+			g.plan.stopped = spec.Policy.Converged(mm.Execs, mm.Singletons)
+			// The convergence event is emitted here — at the barrier, from the
+			// cell's folded state — so the event stream is identical for any
+			// worker count.
+			tel.convergeState(wave, waveJobs[i], mm)
 			if g.plan.stopped && !wasStopped {
 				tel.cellConverged(wave, waveJobs[i], g.plan.used)
 			}
@@ -653,11 +653,13 @@ type execCtx struct {
 	// newRaces counts the execution's race keys the unit had not seen
 	// before (the signal stage computes it).
 	newRaces int
+	// detected marks the cell's detection signal (a benchmark's suite
+	// signal, a litmus cell's forbidden outcome).
+	detected bool
 	// abort marks the execution's model state untrustworthy (an infeasible
 	// modification-order lifting): later stages that would lift it again
 	// are skipped.
 	abort bool
-	obs   explore.Obs
 }
 
 // stage is one pipeline step run over every completed execution. Stages are
@@ -865,16 +867,12 @@ func (r *cellRunner) recordFailure(i int, err string) {
 }
 
 // run executes global execution indices [lo, hi) serially, folding results
-// into the state. observe, when non-nil, receives each execution's
-// observation in index order (the budget-policy feed).
-func (r *cellRunner) run(lo, hi int, observe func(explore.Obs)) {
+// into the state.
+func (r *cellRunner) run(lo, hi int) {
 	a0bytes, a0objs := readAllocCounters()
 	start := time.Now()
 	for i := lo; i < hi; i++ {
-		obs := r.runOne(i)
-		if observe != nil {
-			observe(obs)
-		}
+		r.runOne(i)
 	}
 	r.st.ElapsedNS += int64(time.Since(start))
 	a1bytes, a1objs := readAllocCounters()
@@ -883,26 +881,24 @@ func (r *cellRunner) run(lo, hi int, observe func(explore.Obs)) {
 }
 
 // runChunked executes up to budget executions starting at global index lo,
-// in chunks, stopping early once the tracker reports convergence. It returns
-// the number of executions actually run.
-func (r *cellRunner) runChunked(lo, budget, chunk int, tracker explore.Tracker) int {
+// in chunks, stopping early once the policy declares the cell converged on
+// prior (the cell's state before lo) merged with the unit's own state. It
+// returns the number of executions actually run.
+func (r *cellRunner) runChunked(lo, budget, chunk int, prior *CellState) int {
 	i, end := lo, lo+budget
 	for i < end {
-		hi := i + chunk
-		if hi > end {
-			hi = end
-		}
-		r.run(i, hi, tracker.Observe)
+		hi := min(i+chunk, end)
+		r.run(i, hi)
 		i = hi
-		if tracker.Converged() {
+		if r.spec.Policy.Converged(prior.Execs+r.st.Execs, prior.singletons(&r.st)) {
 			break
 		}
 	}
 	return i - lo
 }
 
-// runOne executes global index i and returns its observation.
-func (r *cellRunner) runOne(i int) explore.Obs {
+// runOne executes global index i.
+func (r *cellRunner) runOne(i int) {
 	if r.pg != nil {
 		r.pg.SetSchedule(r.guides[i%len(r.guides)].Schedule)
 	}
@@ -926,7 +922,7 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 			r.met.Failures.Inc()
 		}
 		r.flightFail(i)
-		return explore.Obs{}
+		return
 	}
 	r.st.Execs++
 	if r.met != nil {
@@ -946,20 +942,18 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	// unconditional tail: the detection metric and the flight-recorder
 	// check fire whether or not a stage aborted.
 	r.x = execCtx{res: res, i: i}
-	r.x.obs.RaceKeys = raceKeysOf(res)
 	for _, st := range r.stages {
 		st(r)
 	}
 	if r.met != nil {
-		if r.x.obs.Detected {
+		if r.x.detected {
 			r.met.Detected.Inc()
 		}
 		if r.x.newRaces > 0 {
 			r.met.Races.Add(uint64(r.x.newRaces))
 		}
 	}
-	r.flightCheck(i, execDur, r.x.newRaces > 0, r.x.obs)
-	return r.x.obs
+	r.flightCheck(i, execDur)
 }
 
 // stageBench is the benchmark-cell signal stage: the suite's detection
@@ -973,7 +967,7 @@ func (r *cellRunner) stageBench() {
 	r.addOps(res)
 	r.x.newRaces = recordRaces(&r.st, res, i)
 	r.x.hit = hit || len(res.Races) > 0
-	r.x.obs.Detected = hit
+	r.x.detected = hit
 }
 
 // stageLitmus is the litmus-cell signal stage: outcome accounting, the
@@ -1002,8 +996,7 @@ func (r *cellRunner) stageLitmus() {
 	}
 	r.x.outcome = r.out
 	r.x.hit = forbidden || len(res.Races) > 0
-	r.x.obs.Detected = forbidden
-	r.x.obs.Outcome = r.out
+	r.x.detected = forbidden
 }
 
 // stageValidate checks the execution against the axiomatic model. The
@@ -1149,41 +1142,54 @@ func (r *cellRunner) observePhase(p core.Phase, t0 time.Time) {
 	}
 }
 
-// raceKeysOf returns the deduplicated race keys of one execution.
+// raceKeysOf returns the deduplicated race keys of one execution, in report
+// order.
 func raceKeysOf(res *capi.Result) []string {
-	if len(res.Races) == 0 {
-		return nil
-	}
-	seen := map[string]bool{}
 	var keys []string
-	for _, r := range res.Races {
-		if k := r.Key(); !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
+	for j, r := range res.Races {
+		if !sameKeyBefore(res.Races[:j], r) {
+			keys = append(keys, r.Key())
 		}
 	}
 	return keys
 }
 
-// recordRaces folds an execution's races into the state, keeping the
-// earliest execution index per race key (within one execution, the first
-// report of a key). It returns how many of the execution's keys the state
-// had not seen: for a unit's own state, the keys new to the unit.
+// recordRaces folds an execution's races into the state: each key's count
+// of executions showing it, and the earliest execution index per key
+// (within one execution, the first report of a key). It returns how many of
+// the execution's keys the state had not seen: for a unit's own state, the
+// keys new to the unit.
 func recordRaces(st *CellState, res *capi.Result, run int) (fresh int) {
-	for _, r := range res.Races {
+	for j, r := range res.Races {
+		if sameKeyBefore(res.Races[:j], r) {
+			continue // this execution's key is already counted
+		}
 		key := r.Key()
 		hit, seen := st.Races[key]
 		if !seen {
 			fresh++
-		}
-		if !seen || run < hit.Run {
 			if st.Races == nil {
 				st.Races = map[string]Hit{}
 			}
-			st.Races[key] = Hit{Desc: r.String(), Run: run}
 		}
+		if !seen || run < hit.Run {
+			hit.Desc, hit.Run = r.String(), run
+		}
+		hit.Count++
+		st.Races[key] = hit
 	}
 	return fresh
+}
+
+// sameKeyBefore reports whether one of the earlier reports has r's key,
+// comparing the key's fields rather than rendering it.
+func sameKeyBefore(earlier []capi.RaceReport, r capi.RaceReport) bool {
+	for _, e := range earlier {
+		if e.LocName == r.LocName && e.PriorKind == r.PriorKind && e.Kind == r.Kind {
+			return true
+		}
+	}
+	return false
 }
 
 // addOps folds an execution's operation counts into the state.
@@ -1218,9 +1224,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Runs <= 0 {
 		return fmt.Errorf("campaign: runs must be positive, got %d", s.Runs)
-	}
-	if _, err := rng.Parse(s.RNG); err != nil {
-		return fmt.Errorf("campaign: %v", err)
 	}
 	if s.Shard.Count != 0 || s.Shard.Index != 0 {
 		if s.Shard.Count < 1 || s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count {

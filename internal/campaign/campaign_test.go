@@ -175,6 +175,7 @@ func TestReproSeedReplays(t *testing.T) {
 				found = true
 			}
 		}
+		closeTool(tool)
 		if !found {
 			t.Errorf("replaying %v did not reproduce race %q", r.Repro, r.Key)
 		}
@@ -233,6 +234,7 @@ func TestRecordedCampaignReplaysDeterministically(t *testing.T) {
 			t.Fatalf("%s: %v", f, err)
 		}
 		rr, err := trace.Replay(tr, subj)
+		closeTool(subj.Tool)
 		if err != nil {
 			t.Fatalf("%s: replay: %v", f, err)
 		}

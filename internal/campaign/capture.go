@@ -16,24 +16,23 @@ import (
 	"time"
 
 	"c11tester/internal/core"
-	"c11tester/internal/explore"
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
 	"c11tester/internal/trace"
 )
 
-// flightCheck feeds one completed execution's digest to the unit's flight
-// recorder and captures it if a trigger fires. No-op (and allocation-free)
-// when the recorder is unarmed or nothing triggers.
-func (r *cellRunner) flightCheck(i int, dur time.Duration, newRace bool, o explore.Obs) {
+// flightCheck feeds the digest of execution i, just folded into r.x, to the
+// unit's flight recorder and captures it if a trigger fires. No-op (and
+// allocation-free) when the recorder is unarmed or nothing triggers.
+func (r *cellRunner) flightCheck(i int, dur time.Duration) {
 	if r.fr == nil {
 		return
 	}
 	d := obs.ExecDigest{
 		Index:     i,
 		NS:        int64(dur),
-		NewRace:   newRace,
-		Forbidden: r.test != nil && o.Detected,
+		NewRace:   r.x.newRaces > 0,
+		Forbidden: r.test != nil && r.x.detected,
 	}
 	if r.eng != nil {
 		st := r.eng.ExecStats()
@@ -41,7 +40,7 @@ func (r *cellRunner) flightCheck(i int, dur time.Duration, newRace bool, o explo
 		d.Choices = st.Choices
 	}
 	if trig := r.fr.Check(d); trig != obs.TriggerNone {
-		r.capture(trig, d, o.RaceKeys, o.Outcome)
+		r.capture(trig, d, raceKeysOf(r.x.res), r.x.outcome)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 
 // captureSpec is the fixed matrix of the flight-recorder tests: benchmark
 // cells that race (new-race triggers) plus litmus cells, under the converge
-// policy so the stream also carries cell_converge_state snapshots.
+// policy so the stream also carries cell_converge_state snapshots. The
+// never-converging novel cell takes the budget the others free, so a
+// converge run crosses several wave barriers.
 func captureSpec(t *testing.T, workers int, dir string, tel *Telemetry) Spec {
 	return Spec{
 		Tools: []ToolSpec{
@@ -25,8 +27,8 @@ func captureSpec(t *testing.T, workers int, dir string, tel *Telemetry) Spec {
 			mustTool(t, "tsan11", ToolOptions{}),
 		},
 		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-		Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
-		Runs:       40,
+		Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), novelLitmus()},
+		Runs:       80,
 		SeedBase:   500,
 		Workers:    workers,
 		ShardSize:  7,
@@ -92,8 +94,8 @@ func testCaptureDeterminism(t *testing.T, policy explore.Policy) {
 	if types["capture"] == 0 {
 		t.Errorf("no capture events in stream (types: %v)", types)
 	}
-	if converge && types["cell_converge_state"] == 0 {
-		t.Errorf("no cell_converge_state events in stream (types: %v)", types)
+	if converge && (types["cell_converge_state"] == 0 || types["wave_end"] < 2) {
+		t.Errorf("want cell_converge_state events over at least 2 waves (types: %v)", types)
 	}
 
 	man, err := obs.ReadManifest(filepath.Join(serialDir, obs.ManifestFileName))
@@ -156,6 +158,7 @@ func testCaptureDeterminism(t *testing.T, policy explore.Policy) {
 			t.Fatal(err)
 		}
 		rr, err := trace.Replay(tr, sub)
+		closeTool(sub.Tool)
 		if err != nil {
 			t.Fatalf("capture %s replay: %v", c.File, err)
 		}

@@ -5,12 +5,12 @@
 // The design leans entirely on the package invariant that every execution is
 // a pure function of (tool, program, seed) and that all budget decisions
 // happen at deterministic wave barriers. A checkpoint therefore only has to
-// persist barrier state — per-cell budgets, converge-tracker state, and one
-// folded CellState per cell — and a resumed run re-enters the wave loop as if
-// the completed waves had just run: CellState.Merge is associative, so
-// folding the remaining units into the restored states yields the state an
-// uninterrupted run folds, and the finished artifact is byte-identical
-// (Summary.Canonical).
+// persist barrier state — per-cell budgets and one folded CellState per
+// cell, from which the converge policy decides — and a resumed run re-enters
+// the wave loop as if the completed waves had just run: CellState.Merge is
+// associative, so folding the remaining units into the restored states
+// yields the state an uninterrupted run folds, and the finished artifact is
+// byte-identical (Summary.Canonical).
 package campaign
 
 import (
@@ -21,8 +21,8 @@ import (
 	"strconv"
 	"strings"
 
-	"c11tester/internal/explore"
 	"c11tester/internal/obs"
+	"c11tester/internal/rng"
 	"c11tester/internal/safeio"
 	"c11tester/internal/trace"
 )
@@ -136,10 +136,11 @@ func SpecDigest(spec Spec) string {
 
 // Schema identifiers of the serialized checkpoint. v2: cells carry their
 // folded CellState (the shard-partial payload) and the barrier's capture
-// records travel with the checkpoint.
+// records travel with the checkpoint. v3: race hits carry per-execution
+// counts, which the converge policy reads, and cells carry no tracker.
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 2
+	CheckpointSchemaVersion = 3
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -171,21 +172,19 @@ type Checkpoint struct {
 	Cells []CellCheckpoint `json:"cells"`
 }
 
-// CellCheckpoint is one cell's barrier state: its budget accounting, its
-// converge-tracker snapshot (adaptive policies), and its folded state.
+// CellCheckpoint is one cell's barrier state: its budget accounting and its
+// folded state.
 type CellCheckpoint struct {
-	Tool    string `json:"tool"`
-	Program string `json:"program"`
-	Used    int    `json:"used"`
-	Stopped bool   `json:"stopped,omitempty"`
-
-	Tracker *explore.TrackerSnapshot `json:"tracker,omitempty"`
-	State   CellState                `json:"state"`
+	Tool    string    `json:"tool"`
+	Program string    `json:"program"`
+	Used    int       `json:"used"`
+	Stopped bool      `json:"stopped,omitempty"`
+	State   CellState `json:"state"`
 }
 
 // buildCheckpoint snapshots the barrier state: one CellCheckpoint per cell,
-// in matrix order. plans supplies budget/tracker state under an adaptive
-// policy; nil (uniform) means every cell ran its whole budget.
+// in matrix order. plans supplies budget state under an adaptive policy;
+// nil (uniform) means every cell ran its whole budget.
 func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, f *fold) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
@@ -202,9 +201,6 @@ func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans [
 			Used: spec.Runs, State: states[i]}
 		if plans != nil {
 			cc.Used, cc.Stopped = plans[i].used, plans[i].stopped
-			if s, ok := plans[i].tracker.(explore.Snapshotter); ok {
-				cc.Tracker = s.Snapshot()
-			}
 		}
 		c.Cells = append(c.Cells, cc)
 	}
@@ -212,8 +208,8 @@ func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans [
 }
 
 // restore folds a checkpoint's barrier state into a fresh run — the cells'
-// states and capture records into f, budgets and tracker state into plans —
-// leaving the checkpoint itself unmodified.
+// states and capture records into f, budgets into plans — leaving the
+// checkpoint itself unmodified.
 func restore(c *Checkpoint, f *fold, plans []*cellPlan) {
 	for i := range c.Cells {
 		if i == len(f.states) {
@@ -224,9 +220,6 @@ func restore(c *Checkpoint, f *fold, plans []*cellPlan) {
 		cc := &c.Cells[i]
 		f.states[i].Merge(&cc.State)
 		plans[i].used, plans[i].stopped = cc.Used, cc.Stopped
-		if s, ok := plans[i].tracker.(explore.Snapshotter); ok {
-			s.Restore(cc.Tracker)
-		}
 	}
 	f.captures = append(f.captures, c.Captures...)
 }
@@ -267,6 +260,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 	if c.Schema != CheckpointSchemaName {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, c.Schema, CheckpointSchemaName)
+	}
+	if err := rng.Check(c.Spec.RNG); err != nil {
+		return nil, fmt.Errorf("campaign: %s: %v", path, err)
 	}
 	if c.SchemaVersion != CheckpointSchemaVersion {
 		return nil, fmt.Errorf("campaign: %s: checkpoint schema version %d; resuming needs exactly %d (start the campaign over)", path, c.SchemaVersion, CheckpointSchemaVersion)

@@ -100,10 +100,11 @@ func (f *CrashFlags) Register(fs *flag.FlagSet) {
 
 // Apply copies the crash-safety flags onto spec. A -resume file that does not
 // exist yet is a fresh start (warned on warn), so `-checkpoint ck -resume ck`
-// is an idempotent invocation: run it until it succeeds. When a resume is
-// loaded, the previous event stream at eventsPath (the file the interrupted
-// run appended to, possibly ending in a torn line) is rotated aside so the
-// resumed run appends to a clean file.
+// is an idempotent invocation: run it until it succeeds. Under -resume the
+// previous event stream at eventsPath (the file an interrupted run appended
+// to, possibly ending in a torn line) is rotated aside so this run appends to
+// a clean file — also on a fresh start, since a run killed before its first
+// checkpoint leaves a stream behind too.
 func (f CrashFlags) Apply(spec *Spec, eventsPath string, warn io.Writer) error {
 	if f.Shard != "" {
 		sel, err := ParseShard(f.Shard)
@@ -122,14 +123,14 @@ func (f CrashFlags) Apply(spec *Spec, eventsPath string, warn io.Writer) error {
 		if warn != nil {
 			fmt.Fprintf(warn, "-resume: %s does not exist yet; starting fresh\n", f.Resume)
 		}
-		return nil
 	case err != nil:
 		return fmt.Errorf("-resume: %w", err)
+	default:
+		if err := ck.ValidateAgainst(*spec); err != nil {
+			return fmt.Errorf("-resume: %w", err)
+		}
+		spec.Resume = ck
 	}
-	if err := ck.ValidateAgainst(*spec); err != nil {
-		return fmt.Errorf("-resume: %w", err)
-	}
-	spec.Resume = ck
 	if eventsPath != "" {
 		rotated, err := safeio.Rotate(eventsPath)
 		if err != nil {

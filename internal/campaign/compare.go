@@ -8,6 +8,7 @@ import (
 
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
+	"c11tester/internal/rng"
 	"c11tester/internal/safeio"
 )
 
@@ -46,6 +47,9 @@ func LoadSummary(path string) (*Summary, error) {
 	if s.SchemaVersion < 1 || s.SchemaVersion > SchemaVersion {
 		return nil, fmt.Errorf("campaign: %s: schema version %d, this build understands 1..%d",
 			path, s.SchemaVersion, SchemaVersion)
+	}
+	if err := rng.Check(s.Spec.RNG); err != nil {
+		return nil, fmt.Errorf("campaign: %s: %v", path, err)
 	}
 	return &s, nil
 }
@@ -102,6 +106,10 @@ type ToolDelta struct {
 	NewFindingKeys  []string    `json:"new_finding_keys,omitempty"`
 	LostFindingKeys []string    `json:"lost_finding_keys,omitempty"`
 	Detection       []CellDelta `json:"detection,omitempty"`
+	// LostCells are the old artifact's cells of this tool that the new one
+	// does not have (litmus cells carry the litmus/ prefix): their race keys
+	// and weak outcomes are lost with them.
+	LostCells []string `json:"lost_cells,omitempty"`
 	// Litmus lists the (tool, test) cells whose weak-outcome coverage moved.
 	Litmus []LitmusDelta `json:"litmus,omitempty"`
 	// Validation is present when both artifacts carry validation results.
@@ -176,9 +184,24 @@ func Compare(old, new *Summary) *Comparison {
 			td.LostFindingKeys, td.NewFindingKeys = lost, gained
 		}
 
+		newCells := map[string]bool{}
+		for _, cell := range nt.Benchmarks {
+			newCells[cell.Program] = true
+		}
+		for _, ls := range nt.Litmus {
+			newCells["litmus/"+ls.Test] = true
+		}
 		oldCells := map[string]harness.DetectionSummary{}
 		for _, cell := range ot.Benchmarks {
 			oldCells[cell.Program] = cell.Detection
+			if !newCells[cell.Program] {
+				td.LostCells = append(td.LostCells, cell.Program)
+			}
+		}
+		for _, ls := range ot.Litmus {
+			if !newCells["litmus/"+ls.Test] {
+				td.LostCells = append(td.LostCells, "litmus/"+ls.Test)
+			}
 		}
 		for _, cell := range nt.Benchmarks {
 			od, ok := oldCells[cell.Program]
@@ -310,8 +333,9 @@ func diffRaceKeys(old, new []harness.RaceSummary) (added, lost []string) {
 	return added, lost
 }
 
-// Regressed reports whether the new artifact lost race keys, lost analyzer
-// findings (schema v7, same-analyzer-set artifacts only), lost more than
+// Regressed reports whether the new artifact lost a tool or a cell of the old
+// one, lost race keys, lost analyzer findings (schema v7, same-analyzer-set
+// artifacts only), lost more than
 // 10 percentage points of detection rate in any cell, lost litmus
 // weak-outcome coverage, introduced axiomatic violations, or dropped
 // telemetry events — the signals the PR trajectory check keys on. The
@@ -320,11 +344,11 @@ func diffRaceKeys(old, new []harness.RaceSummary) (added, lost []string) {
 // event stream trustworthy (p99 timing drift, by contrast, is report-only:
 // wall clock is not comparable across machines).
 func (c *Comparison) Regressed() bool {
-	if c.NewDropped > 0 {
+	if c.NewDropped > 0 || len(c.UnmatchedOld) > 0 {
 		return true
 	}
 	for _, td := range c.Tools {
-		if len(td.LostRaceKeys) > 0 {
+		if len(td.LostCells) > 0 || len(td.LostRaceKeys) > 0 {
 			return true
 		}
 		if len(td.LostFindingKeys) > 0 {
@@ -417,6 +441,9 @@ func (c *Comparison) String() string {
 		out += fmt.Sprintf("\nWARNING: build provenance skew: %s — wall-clock comparisons are not meaningful", skew)
 	}
 	for _, td := range c.Tools {
+		for _, cell := range td.LostCells {
+			out += fmt.Sprintf("\n%s: LOST cell %s", td.Tool, cell)
+		}
 		for _, k := range td.NewRaceKeys {
 			out += fmt.Sprintf("\n%s: NEW race key %s", td.Tool, k)
 		}
@@ -442,7 +469,7 @@ func (c *Comparison) String() string {
 		out += fmt.Sprintf("\ntools only in new artifact: %v", c.UnmatchedNew)
 	}
 	if c.Regressed() {
-		out += "\n\nREGRESSION: lost race keys, lost analyzer findings, a detection-rate drop > 10 points, lost weak-outcome coverage, new axiom violations, or dropped telemetry events\n"
+		out += "\n\nREGRESSION: lost tools or cells, lost race keys, lost analyzer findings, a detection-rate drop > 10 points, lost weak-outcome coverage, new axiom violations, or dropped telemetry events\n"
 	} else {
 		out += "\n\nno regression detected\n"
 	}

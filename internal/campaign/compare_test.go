@@ -1,11 +1,15 @@
 package campaign
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"c11tester/internal/harness"
+	"c11tester/internal/litmus"
+	"c11tester/internal/trace"
 )
 
 func mkSummary(execsPerSec float64, ratePct float64, raceKeys ...string) *Summary {
@@ -59,6 +63,39 @@ func TestCompareDetectsMovement(t *testing.T) {
 	// No movement → no regression.
 	if Compare(old, old).Regressed() {
 		t.Error("identical artifacts must not regress")
+	}
+}
+
+// TestCompareLostToolsAndCellsRegress pins that a new artifact covering less
+// of the matrix than the old one cannot pass the trajectory gate: a tool or a
+// cell of the old artifact that the new one lacks takes its race keys and
+// weak outcomes with it. A wider new artifact is not a regression.
+func TestCompareLostToolsAndCellsRegress(t *testing.T) {
+	full := mkSummary(1000, 80, "a/x/y")
+	full.Tools[0].Litmus = []LitmusSummary{{Test: "SB+rlx"}}
+	full.Tools = append(full.Tools, ToolSummary{Tool: "tsan11"})
+
+	lessTools := mkSummary(1000, 80, "a/x/y")
+	lessTools.Tools[0].Litmus = []LitmusSummary{{Test: "SB+rlx"}}
+	c := Compare(full, lessTools)
+	if !c.Regressed() || len(c.UnmatchedOld) != 1 {
+		t.Errorf("a lost tool must regress: unmatched old %v, regressed %v", c.UnmatchedOld, c.Regressed())
+	}
+	if Compare(lessTools, full).Regressed() {
+		t.Error("a tool only in the new artifact must not regress")
+	}
+
+	lessCells := mkSummary(1000, 80, "a/x/y")
+	lessCells.Tools = append(lessCells.Tools, ToolSummary{Tool: "tsan11"})
+	c = Compare(full, lessCells)
+	if !c.Regressed() || len(c.Tools[0].LostCells) != 1 || c.Tools[0].LostCells[0] != "litmus/SB+rlx" {
+		t.Errorf("a lost litmus cell must regress: lost cells %v, regressed %v", c.Tools[0].LostCells, c.Regressed())
+	}
+	if !strings.Contains(c.String(), "LOST cell litmus/SB+rlx") {
+		t.Errorf("comparison text does not name the lost cell:\n%s", c.String())
+	}
+	if Compare(lessCells, full).Regressed() {
+		t.Error("a cell only in the new artifact must not regress")
 	}
 }
 
@@ -159,4 +196,83 @@ func TestCompareValidationCounts(t *testing.T) {
 	if d := Compare(mkLitmusSummary(nil, nil), new); d.Tools[0].Validation != nil {
 		t.Errorf("one-sided validation produced a delta: %+v", d.Tools[0].Validation)
 	}
+}
+
+// TestRNGSpecValidation pins the refusal of artifacts that name the removed
+// legacy random source: a summary, a checkpoint, a perf artifact and a trace
+// naming "legacy" must each be refused with an error that names the source
+// as removed — never loaded and replayed on PCG.
+func TestRNGSpecValidation(t *testing.T) {
+	dir := t.TempDir()
+	tool := mustTool(t, "c11tester", ToolOptions{})
+	// nameLegacy rewrites the JSON file at path so the object at key names
+	// the legacy source.
+	nameLegacy := func(path, key string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc[key].(map[string]any)["rng"] = "legacy"
+		if data, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRemoved := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `"legacy"`) || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("%s naming the legacy source: err = %v, want a removed-source refusal", what, err)
+		}
+	}
+
+	ckPath := filepath.Join(dir, "ck.json")
+	traces := filepath.Join(dir, "traces")
+	sum := Run(Spec{
+		Tools:          []ToolSpec{tool},
+		Benchmarks:     []BenchmarkSpec{benchSpec(t, "ms-queue")},
+		Runs:           2,
+		CheckpointPath: ckPath,
+		RecordDir:      traces,
+	})
+	sumPath := filepath.Join(dir, "sum.json")
+	if err := sum.WriteJSON(sumPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSummary(sumPath); err != nil {
+		t.Fatalf("pcg summary refused: %v", err)
+	}
+	nameLegacy(sumPath, "spec")
+	_, err := LoadSummary(sumPath)
+	wantRemoved("summary", err)
+
+	if _, err := LoadCheckpoint(ckPath); err != nil {
+		t.Fatalf("pcg checkpoint refused: %v", err)
+	}
+	nameLegacy(ckPath, "spec")
+	_, err = LoadCheckpoint(ckPath)
+	wantRemoved("checkpoint", err)
+
+	perfPath := filepath.Join(dir, "perf.json")
+	perf := RunPerf(PerfSpec{Tools: []ToolSpec{tool}, Litmus: []*litmus.Test{mustLitmus(t, "SB+sc")}, Runs: 2})
+	if err := perf.WriteJSON(perfPath); err != nil {
+		t.Fatal(err)
+	}
+	nameLegacy(perfPath, "spec")
+	_, err = LoadPerfSummary(perfPath)
+	wantRemoved("perf artifact", err)
+
+	files, _ := filepath.Glob(filepath.Join(traces, "trace_*.json"))
+	if len(files) == 0 {
+		t.Fatal("racy campaign recorded no trace")
+	}
+	nameLegacy(files[0], "tool")
+	_, err = trace.ReadFile(files[0])
+	wantRemoved("trace", err)
 }

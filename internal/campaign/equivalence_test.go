@@ -153,6 +153,7 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 		for _, c := range cells {
 			t.Run(name+"/"+c.name, func(t *testing.T) {
 				pooledTool, pooledEng, pooledRec := newTracedTool(spec)
+				defer closeTool(pooledTool)
 				var pooled []execDigest
 				for i := 0; i < runs; i++ {
 					if c.reset != nil {
@@ -168,6 +169,7 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 					}
 					res := freshTool.Execute(c.prog, int64(i+1))
 					fresh := digestOf(t, freshEng, freshRec, res, c.name, c.isLit, c.outStr(), int64(i+1))
+					closeTool(freshTool)
 					if diff := digestEqual(pooled[i], fresh); diff != "" {
 						t.Fatalf("execution %d (seed %d): pooled engine diverged from fresh engine: %s", i, i+1, diff)
 					}

@@ -24,10 +24,10 @@ import (
 // and the optional Figure 14 handoff matrix (handoff_matrix): ns/exec and
 // allocation counters for every handoff regime × tool.
 //
-// Schema v3 (the PCG rng PR) adds the rng-source echo ("rng": pcg or
-// legacy) to the spec: the source changes every decision stream and the
-// work each execution does, so artifacts from different sources are only
-// compared with a warning (like handoff regimes).
+// Schema v3 (the PCG rng PR) added an rng-source echo ("rng": pcg or
+// legacy) to the spec. PCG is now the only source, so the echo is no
+// longer written; LoadPerfSummary refuses an artifact naming "legacy",
+// whose decision streams this build cannot reproduce.
 //
 // Only the current version loads. The "pooled" spec and matrix fields of
 // earlier v3 artifacts name the deleted respawn scheduler; they decode as
@@ -58,12 +58,11 @@ type PerfSpec struct {
 	// sweeps replay the same seeds), mirroring the campaign runner's seeding
 	// invariant.
 	SeedBase int64
-	// Handoff and RNG echo the handoff regime and random source the spec's
-	// tools were built with (ToolOptions.Handoff/RNG) into the artifact, so
-	// two BENCH_perf.json files are only compared like for like. They do not
-	// themselves configure the tools — the ToolSpec factories do.
+	// Handoff echoes the handoff regime the spec's tools were built with
+	// (ToolOptions.Handoff) into the artifact, so two BENCH_perf.json files
+	// are only compared like for like. It does not itself configure the
+	// tools — the ToolSpec factories do.
 	Handoff string
-	RNG     string
 	// Progress, when non-nil, receives live counters as the sweep runs (cells
 	// planned/done, executions) for a -status-addr server. The per-execution
 	// update is a single atomic add — it never allocates, so the measured
@@ -111,8 +110,6 @@ type PerfSpecInfo struct {
 	Warmup   int      `json:"warmup"`
 	SeedBase int64    `json:"seed_base"`
 	Handoff  string   `json:"handoff,omitempty"`
-	// RNG names the random source: "pcg" or "legacy".
-	RNG string `json:"rng,omitempty"`
 }
 
 // HandoffCell is one aggregated measurement of the Figure 14 handoff matrix:
@@ -156,7 +153,6 @@ func RunPerf(spec PerfSpec) *PerfSummary {
 		Spec: PerfSpecInfo{
 			Runs: spec.Runs, Warmup: spec.Warmup, SeedBase: spec.SeedBase,
 			Handoff: handoffOrDefault(spec.Handoff),
-			RNG:     rng.Canonical(spec.RNG),
 			Tools:   []string{}, Programs: []string{},
 		},
 	}
@@ -344,9 +340,9 @@ func HandoffMatrixString(cells []HandoffCell) string {
 
 // String renders the human-readable perf report.
 func (s *PerfSummary) String() string {
-	out := fmt.Sprintf("perf: %d tool(s) × %d program(s), %d measured execs/cell (%d warmup), seed base %d, %s handoff, %s rng, %s\n\n",
+	out := fmt.Sprintf("perf: %d tool(s) × %d program(s), %d measured execs/cell (%d warmup), seed base %d, %s handoff, %s\n\n",
 		len(s.Spec.Tools), len(s.Spec.Programs), s.Spec.Runs, s.Spec.Warmup, s.Spec.SeedBase,
-		handoffOrDefault(s.Spec.Handoff), rng.Canonical(s.Spec.RNG), s.GoVersion)
+		handoffOrDefault(s.Spec.Handoff), s.GoVersion)
 	tb := &harness.Table{Header: []string{"tool", "execs", "ns/exec", "bytes/exec", "objects/exec", "execs/sec"}}
 	for _, ts := range s.Tools {
 		tb.AddRow(ts.Tool,
@@ -391,6 +387,17 @@ func LoadPerfSummary(path string) (*PerfSummary, error) {
 	var s PerfSummary
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("campaign: %s: %v", path, err)
+	}
+	// The spec's rng echo is read only to refuse the removed legacy source.
+	var echo struct {
+		Spec struct {
+			RNG string `json:"rng"`
+		} `json:"spec"`
+	}
+	if err := json.Unmarshal(data, &echo); err == nil {
+		if err := rng.Check(echo.Spec.RNG); err != nil {
+			return nil, fmt.Errorf("campaign: %s: %v", path, err)
+		}
 	}
 	if s.Schema != PerfSchemaName {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, s.Schema, PerfSchemaName)

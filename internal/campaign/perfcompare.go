@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"c11tester/internal/harness"
-	"c11tester/internal/rng"
 )
 
 // PerfToolDelta is the per-tool movement between two perf artifacts
@@ -70,10 +69,6 @@ type PerfComparison struct {
 	// different handoff regimes measures the regime, not the code change.
 	RegimeOld string `json:"regime_old,omitempty"`
 	RegimeNew string `json:"regime_new,omitempty"`
-	// RNGOld/New flag random-source skew: changing the source changes every
-	// decision stream, so the work measured differs too.
-	RNGOld string `json:"rng_old,omitempty"`
-	RNGNew string `json:"rng_new,omitempty"`
 }
 
 // ComparePerf diffs two perf artifacts. nsTolPct is the ns/exec tolerance
@@ -85,7 +80,6 @@ func ComparePerf(old, new *PerfSummary, nsTolPct, allocTolPct float64) *PerfComp
 		NsTolPct: nsTolPct, AllocTolPct: allocTolPct,
 		GoVersionOld: old.GoVersion, GoVersionNew: new.GoVersion,
 		RegimeOld: handoffOrDefault(old.Spec.Handoff), RegimeNew: handoffOrDefault(new.Spec.Handoff),
-		RNGOld: rng.Canonical(old.Spec.RNG), RNGNew: rng.Canonical(new.Spec.RNG),
 	}
 	oldTools := map[string]*PerfToolSummary{}
 	for i := range old.Tools {
@@ -158,10 +152,6 @@ func (c *PerfComparison) String() string {
 	if c.RegimeOld != c.RegimeNew {
 		out += fmt.Sprintf("WARNING: handoff regimes differ (%s vs %s); the comparison measures the regime, not the change\n",
 			c.RegimeOld, c.RegimeNew)
-	}
-	if c.RNGOld != c.RNGNew {
-		out += fmt.Sprintf("WARNING: rng sources differ (%s vs %s); decision streams and per-exec work are not like for like\n",
-			c.RNGOld, c.RNGNew)
 	}
 	tb := &harness.Table{Header: []string{"tool", "ns/exec old", "ns/exec new", "ratio", "bytes/exec old", "bytes/exec new", "objs/exec old", "objs/exec new"}}
 	for _, d := range c.Tools {

@@ -239,15 +239,13 @@ func writeConvergence(w io.Writer, events []Event) {
 		sort.SliceStable(c.points, func(i, j int) bool { return c.points[i].Wave < c.points[j].Wave })
 		fmt.Fprintf(w, "  %s/%s:\n", c.tool, c.program)
 		for _, ev := range c.points {
-			st := ev.Converge
+			mm := ev.Converge
 			verdict := "diverging"
-			if st.Converged {
+			if mm.Converged {
 				verdict = "CONVERGED"
-			} else if st.WindowNewInfo {
-				verdict = "new info in window"
 			}
-			fmt.Fprintf(w, "    wave %d: %d execs, rate %.2f (shift %+.3f), %d distinct race(s), L1 %.3f — %s\n",
-				ev.Wave, st.Execs, st.DetectionRate, st.RateShift, st.DistinctRaces, st.OutcomeL1, verdict)
+			fmt.Fprintf(w, "    wave %d: %d execs, %d singleton key(s), missing mass %.3f (δ %g) — %s\n",
+				ev.Wave, mm.Execs, mm.Singletons, mm.Estimate, mm.Delta, verdict)
 		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // Hit is a deduplicated race or analyzer finding: the rendered description
 // of its winning sighting, the global execution index of that sighting
-// (seed = SeedBase+Run), and — for findings — how many executions showed it.
+// (seed = SeedBase+Run), and how many executions showed it (a race's count
+// feeds the converge policy's singleton count; a finding's is reported).
 // The winner is the smallest (Run, Desc). A Hit carries the rendered
 // description rather than the capi.RaceReport: tools recycle their report
 // storage across Execute calls, so retaining a report would alias mutated
@@ -169,6 +170,38 @@ func (s *CellState) Merge(o *CellState) {
 		}
 		s.Phases[name] = mergeHist(s.Phases[name], h)
 	}
+}
+
+// singletons counts the keys that the merge of s and o shows in exactly one
+// execution: race keys, litmus outcomes, and the detection signal. It is
+// the N1 of the converge policy's missing-mass estimate (explore.Estimate),
+// computed without building the merged state.
+func (s *CellState) singletons(o *CellState) int {
+	n := 0
+	if s.Detected+o.Detected == 1 {
+		n++
+	}
+	for k, h := range s.Races {
+		if h.Count+o.Races[k].Count == 1 {
+			n++
+		}
+	}
+	for k, h := range o.Races {
+		if _, seen := s.Races[k]; !seen && h.Count == 1 {
+			n++
+		}
+	}
+	for k, c := range s.Outcomes {
+		if c+o.Outcomes[k] == 1 {
+			n++
+		}
+	}
+	for k, c := range o.Outcomes {
+		if _, seen := s.Outcomes[k]; !seen && c == 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // check reports a decoded state that Merge cannot fold: a histogram whose

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"c11tester/internal/capi"
+	"c11tester/internal/memmodel"
 	"c11tester/internal/obs"
 )
 
@@ -68,7 +70,7 @@ func genState(r *rand.Rand) *CellState {
 		Execs: r.Intn(50), Detected: r.Intn(50),
 		AtomicOps: uint64(r.Intn(1000)), NormalOps: uint64(r.Intn(1000)),
 		ElapsedNS: int64(r.Intn(1e6)),
-		Races:     hits(false),
+		Races:     hits(true),
 		Outcomes:  counts(false), Forbidden: counts(true), Weak: counts(false),
 		Failed: r.Intn(9), Failures: samples(),
 		GuidedExecs: r.Intn(9), PrefixDepth: int64(r.Intn(99)),
@@ -162,6 +164,45 @@ func TestCellStateMergeIdentity(t *testing.T) {
 		right.Merge(&zero)
 		return stateJSON(t, left) == want && stateJSON(t, right) == want
 	})
+}
+
+// TestSingletonsCountTheMergedState pins the converge policy's N1: counting
+// the singleton keys of two states must agree with counting them on their
+// merge, which is what lets a unit decide on the cell's earlier waves plus
+// its own state without folding them.
+func TestSingletonsCountTheMergedState(t *testing.T) {
+	quickStates(t, 2, func(s []*CellState) bool {
+		return s[0].singletons(s[1]) == merged(s[0], s[1]).singletons(&CellState{})
+	})
+	st := &CellState{Detected: 1,
+		Races:    map[string]Hit{"once": {Count: 1}, "twice": {Count: 2}},
+		Outcomes: map[string]int{"a": 1, "b": 3}}
+	if got := st.singletons(&CellState{}); got != 3 {
+		t.Fatalf("singletons = %d, want 3 (detection, race once, outcome a)", got)
+	}
+}
+
+// TestRecordRacesCountsExecutions pins the per-execution race count: a key
+// reported several times in one execution counts once, and the winner is
+// the first report of the earliest execution.
+func TestRecordRacesCountsExecutions(t *testing.T) {
+	a := capi.RaceReport{LocName: "x", PriorKind: memmodel.KNAStore, Kind: memmodel.KNALoad, TID: 1}
+	b := capi.RaceReport{LocName: "y", PriorKind: memmodel.KNAStore, Kind: memmodel.KNALoad, TID: 2}
+	a2 := a
+	a2.TID = 3
+	var st CellState
+	if fresh := recordRaces(&st, &capi.Result{Races: []capi.RaceReport{a, a2, b}}, 7); fresh != 2 {
+		t.Fatalf("first execution: %d fresh keys, want 2", fresh)
+	}
+	if fresh := recordRaces(&st, &capi.Result{Races: []capi.RaceReport{a2}}, 4); fresh != 0 {
+		t.Fatalf("second execution: %d fresh keys, want 0", fresh)
+	}
+	if h := st.Races[a.Key()]; h.Count != 2 || h.Run != 4 || h.Desc != a2.String() {
+		t.Fatalf("key %s = %+v, want count 2 won by run 4's report", a.Key(), h)
+	}
+	if h := st.Races[b.Key()]; h.Count != 1 || h.Run != 7 {
+		t.Fatalf("key %s = %+v, want count 1 at run 7", b.Key(), h)
+	}
 }
 
 // TestCellStateJSONRoundTrip: a decoded state merges exactly like the

@@ -10,7 +10,6 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
-	"c11tester/internal/rng"
 	"c11tester/internal/safeio"
 )
 
@@ -52,9 +51,10 @@ import (
 // triples, merged across shards by the same min-by-(cell, seed) winner
 // algebra as races.
 //
-// v8: the rng-source echo ("rng" in the spec): campaigns name the random
-// source their decision streams were drawn from ("pcg", the splitmix-seeded
-// PCG subsystem, or "legacy", math/rand — reproduces pre-v8 artifacts).
+// v8: the rng-source echo ("rng" in the spec): campaigns named the random
+// source their decision streams were drawn from ("pcg" or "legacy",
+// math/rand). PCG is now the only source and the echo is no longer written;
+// an artifact naming "legacy" is refused on load.
 //
 // v9: shard partials carry their cells' mergeable state ("cells": static
 // identity plus CellState, in matrix order); cmd/c11merge decodes and folds
@@ -92,9 +92,10 @@ type SpecInfo struct {
 	CaptureSlowNS bool   `json:"capture_slow_ns,omitempty"`
 	// Analyzers echoes the analyzer pipeline composed per cell (schema v7).
 	Analyzers []string `json:"analyzers,omitempty"`
-	// RNG names the random source behind every decision stream (schema v8):
-	// "pcg" (default) or "legacy". Pre-v8 artifacts omit it and were drawn
-	// from the legacy source.
+	// RNG is never written. Schema v8–v9 artifacts of earlier builds named
+	// their random source here, "pcg" or "legacy"; LoadSummary and
+	// LoadCheckpoint refuse "legacy", whose stream this build cannot
+	// reproduce (rng.Check).
 	RNG string `json:"rng,omitempty"`
 }
 
@@ -351,7 +352,6 @@ func specInfo(spec Spec) SpecInfo {
 		Validate:   spec.ValidateAxioms,
 		CaptureDir: spec.CaptureDir, CaptureSlowNS: spec.CaptureSlowNS,
 		Analyzers: spec.Analyzers,
-		RNG:       rng.Canonical(spec.RNG),
 	}
 	if spec.Guides != nil {
 		info.GuideDir = spec.Guides.Dir()

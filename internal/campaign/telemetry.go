@@ -118,19 +118,19 @@ type Telemetry struct {
 	// Spec.Benchmarks and Spec.Litmus per tool.
 	bound    bool
 	spec     Spec
+	fold     *fold
 	benchMet [][]*CellMetrics
 	litMet   [][]*CellMetrics
 
-	mu            sync.Mutex
-	start         time.Time
-	running       bool
-	waves         int
-	raceKeys      map[string]bool // "tool\x00key" — campaign-distinct races
-	failures      int
-	converged     map[cellKey]bool
-	convergeSnaps map[cellKey]*explore.TrackerState
-	provenance    *Provenance
-	execsPlanned  int
+	mu           sync.Mutex
+	start        time.Time
+	running      bool
+	waves        int
+	raceKeys     map[string]bool // "tool\x00key" — campaign-distinct races
+	failures     int
+	converged    map[cellKey]bool
+	provenance   *Provenance
+	execsPlanned int
 	// Trailing-throughput ring for the /progress ETA.
 	samples   []progressSample
 	sampleAt  int
@@ -150,12 +150,11 @@ const progressSampleRing = 64
 // start before the campaign); per-cell handles appear when Run binds it.
 func NewTelemetry(opts TelemetryOptions) *Telemetry {
 	t := &Telemetry{
-		opts:          opts,
-		reg:           obs.NewRegistry(),
-		raceKeys:      map[string]bool{},
-		converged:     map[cellKey]bool{},
-		convergeSnaps: map[cellKey]*explore.TrackerState{},
-		provenance:    BuildProvenance(),
+		opts:       opts,
+		reg:        obs.NewRegistry(),
+		raceKeys:   map[string]bool{},
+		converged:  map[cellKey]bool{},
+		provenance: BuildProvenance(),
 	}
 	t.wavesC = t.reg.Counter("c11_campaign_waves_total", "campaign waves completed")
 	t.emittedG = t.reg.Gauge("c11_campaign_events_emitted", "structured events queued to the stream")
@@ -199,14 +198,17 @@ func (t *Telemetry) syncEvents() {
 	}
 }
 
-// bind registers the per-cell metric handles for spec's matrix. Run calls it
-// once; binding a Telemetry to a second campaign is a programming error.
-func (t *Telemetry) bind(spec Spec) {
+// bind registers the per-cell metric handles for spec's matrix and keeps the
+// campaign's fold, from which ConvergeSnapshot reads. Run calls it once;
+// binding a Telemetry to a second campaign is a programming error.
+func (t *Telemetry) bind(spec Spec, f *fold) {
 	if t.bound {
 		panic("campaign: Telemetry bound to a second campaign; create one per Run")
 	}
+	t.mu.Lock()
 	t.bound = true
-	t.spec = spec
+	t.spec, t.fold = spec, f
+	t.mu.Unlock()
 	newCell := func(tool, program string) *CellMetrics {
 		lt := obs.Label{Name: "tool", Value: tool}
 		lp := obs.Label{Name: "program", Value: program}
@@ -309,9 +311,9 @@ type Event struct {
 	// Trigger and File belong to "capture" events (the flight recorder's
 	// manifest entries, re-emitted on the stream so a live consumer sees
 	// captures as they land); Converge belongs to "cell_converge_state".
-	Trigger  string                `json:"trigger,omitempty"`
-	File     string                `json:"file,omitempty"`
-	Converge *explore.TrackerState `json:"converge,omitempty"`
+	Trigger  string               `json:"trigger,omitempty"`
+	File     string               `json:"file,omitempty"`
+	Converge *explore.MissingMass `json:"converge,omitempty"`
 
 	Budget *BudgetSummary `json:"budget,omitempty"`
 	Spec   *SpecInfo      `json:"spec,omitempty"`
@@ -479,60 +481,50 @@ func (t *Telemetry) cellConverged(wave int, j job, used int) {
 		Budget: &BudgetSummary{Planned: t.spec.Runs, Used: used, Extended: extended, Converged: true}})
 }
 
-// convergeState snapshots one cell's tracker for /debug/converge and emits
-// the cell_converge_state event. The adaptive planner calls it at the wave
-// barrier — a single-threaded point where the tracker has folded exactly the
-// wave's observations in index order — so the snapshot (and the event) is a
-// pure function of the cell's observation stream, identical for any worker
-// count. Trackers that cannot explain themselves (Uniform) are skipped.
-func (t *Telemetry) convergeState(wave int, j job, tracker explore.Tracker) {
-	in, ok := tracker.(explore.Introspector)
-	if !ok {
-		return
-	}
-	st := in.State()
-	key := cellKey{kind: j.kind, tool: j.tool, cell: j.cell}
-	t.mu.Lock()
-	t.convergeSnaps[key] = &st
-	t.mu.Unlock()
+// convergeState emits the cell_converge_state event: the converge verdict on
+// the cell's folded state. The adaptive planner calls it at the wave
+// barrier, so the event is a pure function of the cell's executed prefix,
+// identical for any worker count.
+func (t *Telemetry) convergeState(wave int, j job, mm explore.MissingMass) {
 	t.emit(Event{Type: "cell_converge_state", Wave: wave,
 		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programName(j), Litmus: j.kind == jobLitmus,
-		Converge: &st})
+		Converge: &mm})
 }
 
 // ConvergeCell is one cell's row in the /debug/converge payload.
 type ConvergeCell struct {
-	Tool    string                `json:"tool"`
-	Program string                `json:"program"`
-	Litmus  bool                  `json:"litmus,omitempty"`
-	State   *explore.TrackerState `json:"state"`
+	Tool     string              `json:"tool"`
+	Program  string              `json:"program"`
+	Litmus   bool                `json:"litmus,omitempty"`
+	Estimate explore.MissingMass `json:"estimate"`
 }
 
-// ConvergeSnapshot returns the latest per-cell tracker snapshots in canonical
-// matrix order (tool-major, benchmarks before litmus) — the /debug/converge
-// payload. Cells whose tracker has not reached a wave barrier yet (or whose
-// policy has no introspection) are omitted.
+// ConvergeSnapshot returns the converge verdict on every cell that has folded
+// at least one execution, in canonical matrix order (tool-major, benchmarks
+// before litmus) — the /debug/converge payload. Each cell's state holds the
+// waves its units have completed, so a row is a pure function of that
+// prefix. Uniform campaigns have no verdicts and return none.
 func (t *Telemetry) ConvergeSnapshot() []ConvergeCell {
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	spec, f := t.spec, t.fold
+	t.mu.Unlock()
 	var out []ConvergeCell
-	if !t.bound {
+	if f == nil {
 		return out
 	}
-	add := func(kind jobKind, ti, ci int, program string) {
-		if st := t.convergeSnaps[cellKey{kind: kind, tool: ti, cell: ci}]; st != nil {
-			out = append(out, ConvergeCell{
-				Tool: t.spec.Tools[ti].Name, Program: program,
-				Litmus: kind == jobLitmus, State: st})
-		}
+	if _, uniform := spec.Policy.(explore.Uniform); uniform {
+		return out
 	}
-	for ti := range t.spec.Tools {
-		for b, bench := range t.spec.Benchmarks {
-			add(jobBench, ti, b, bench.Name)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, j := range spec.cellJobs() {
+		st := &f.states[i]
+		if st.Execs == 0 {
+			continue
 		}
-		for l, test := range t.spec.Litmus {
-			add(jobLitmus, ti, l, test.Name)
-		}
+		out = append(out, ConvergeCell{
+			Tool: spec.Tools[j.tool].Name, Program: spec.programName(j), Litmus: j.kind == jobLitmus,
+			Estimate: explore.Estimate(st.Execs, st.singletons(&CellState{}))})
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"c11tester/internal/explore"
 	"c11tester/internal/litmus"
 )
 
@@ -191,5 +192,43 @@ func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
 		if !strings.Contains(prom.String(), family) {
 			t.Errorf("metric family %q missing from exposition", family)
 		}
+	}
+}
+
+// TestConvergeSnapshotFromFoldedState pins the /debug/converge payload: one
+// row per cell, in matrix order, whose verdict is computed from the cell's
+// folded state and agrees with the budget accounting of the summary. A
+// uniform campaign has no verdicts.
+func TestConvergeSnapshotFromFoldedState(t *testing.T) {
+	spec := Spec{
+		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
+		Litmus:     []*litmus.Test{mustLitmus(t, "SB+sc"), novelLitmus()},
+		Runs:       80,
+		SeedBase:   1,
+		Workers:    2,
+		Policy:     explore.Converge{},
+		Telemetry:  NewTelemetry(TelemetryOptions{}),
+	}
+	sum := Run(spec)
+	rows := spec.Telemetry.ConvergeSnapshot()
+	budgets := []*BudgetSummary{sum.Tools[0].Benchmarks[0].Budget, sum.Tools[0].Litmus[0].Budget, sum.Tools[0].Litmus[1].Budget}
+	if len(rows) != len(budgets) {
+		t.Fatalf("%d rows, want one per cell (%d)", len(rows), len(budgets))
+	}
+	for i, row := range rows {
+		b := budgets[i]
+		if row.Estimate.Execs != b.Used || row.Estimate.Converged != b.Converged || row.Estimate.Delta != explore.Delta {
+			t.Errorf("row %s = %+v, budget %+v", row.Program, row.Estimate, *b)
+		}
+	}
+	if rows[2].Program != "novel" || rows[2].Estimate.Estimate <= explore.Delta {
+		t.Errorf("novel row = %+v, want a missing mass above δ", rows[2])
+	}
+
+	spec.Policy, spec.Telemetry = nil, NewTelemetry(TelemetryOptions{})
+	Run(spec)
+	if rows := spec.Telemetry.ConvergeSnapshot(); len(rows) != 0 {
+		t.Errorf("uniform campaign reported %d converge rows", len(rows))
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"c11tester/internal/explore"
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
-	"c11tester/internal/rng"
 	"c11tester/internal/sched"
 	"c11tester/internal/structures"
 	"c11tester/internal/trace"
@@ -55,9 +54,6 @@ func (o ToolOptions) reproFlags(tool string) string {
 	if o.MaxSteps != 0 {
 		parts = append(parts, fmt.Sprintf("-max-steps %d", o.MaxSteps))
 	}
-	if r := rng.Canonical(o.RNG); r != "pcg" {
-		parts = append(parts, "-rng "+r)
-	}
 	return strings.Join(parts, " ")
 }
 
@@ -80,13 +76,6 @@ type ToolOptions struct {
 	// and campaign outcomes are identical across regimes; only the handoff
 	// cost changes (the Figure 14 dimension cmd/c11bench measures).
 	Handoff string
-	// RNG selects the random source behind every decision the tools make
-	// ("pcg" — the default splitmix-seeded PCG — or "legacy", math/rand).
-	// Changing the source changes every scheduling and reads-from decision,
-	// so it is part of the tool identity: repro flags, trace configs, and
-	// the spec digest all carry it, and "legacy" reproduces pre-PCG
-	// artifacts bit for bit.
-	RNG string
 }
 
 // pruneName renders a PruneMode as its -prune flag value ("" for off).
@@ -115,9 +104,6 @@ func (o ToolOptions) traceConfig(tool string) trace.ToolConfig {
 	case "tsan11":
 		tc.QuantumMean = o.QuantumMean
 	}
-	if r := rng.Canonical(o.RNG); r != "pcg" {
-		tc.RNG = r
-	}
 	return tc
 }
 
@@ -132,19 +118,16 @@ func StandardToolFromConfig(tc trace.ToolConfig) (ToolSpec, error) {
 		Strategy:    tc.Sched,
 		QuantumMean: tc.QuantumMean,
 		MaxSteps:    tc.MaxSteps,
-		RNG:         tc.RNG,
 	})
 }
 
-// ParsePolicy parses a -policy flag value into a budget policy. minExecs,
-// window, and epsilon parameterize the converge policy; zero values mean its
-// defaults.
-func ParsePolicy(name string, minExecs, window int, epsilon float64) (explore.Policy, error) {
+// ParsePolicy parses a -policy flag value into a budget policy.
+func ParsePolicy(name string) (explore.Policy, error) {
 	switch name {
 	case "", "uniform":
 		return explore.Uniform{}, nil
 	case "converge":
-		return explore.Converge{MinExecs: minExecs, Window: window, Epsilon: epsilon}, nil
+		return explore.Converge{}, nil
 	}
 	return nil, fmt.Errorf("unknown policy %q (want uniform or converge)", name)
 }
@@ -234,13 +217,9 @@ func StandardToolNames() []string {
 
 // StandardTool builds the ToolSpec for one of the paper's three tools.
 func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
-	// Parse the handoff and rng names once here; the factories below run on
-	// worker goroutines where an error has nowhere to go.
+	// Parse the handoff name once here; the factories below run on worker
+	// goroutines where an error has nowhere to go.
 	handoff, err := sched.ParseHandoff(opts.Handoff)
-	if err != nil {
-		return ToolSpec{}, err
-	}
-	rngKind, err := rng.Parse(opts.RNG)
 	if err != nil {
 		return ToolSpec{}, err
 	}
@@ -260,9 +239,9 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 				if mean == 0 {
 					mean = 150
 				}
-				strat = core.NewQuantumStrategyKind(rngKind, mean)
+				strat = core.NewQuantumStrategy(mean)
 			} else {
-				strat = core.NewRandomStrategyKind(rngKind)
+				strat = core.NewRandomStrategy()
 			}
 			return core.New(name, core.NewC11Model(), core.Config{
 				Handoff:    handoff,
@@ -270,7 +249,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 				Prune:      opts.Prune,
 				Strategy:   strat,
 				MaxSteps:   opts.MaxSteps,
-				RNG:        rngKind,
 			})
 		}}, nil
 	case "tsan11":
@@ -279,7 +257,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 				QuantumMean: opts.QuantumMean,
 				MaxSteps:    opts.MaxSteps,
 				Handoff:     handoff,
-				RNG:         rngKind,
 			})
 		}}, nil
 	case "tsan11rec":
@@ -287,7 +264,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			return baseline.NewTsan11rec(baseline.Options{
 				MaxSteps: opts.MaxSteps,
 				Handoff:  handoff,
-				RNG:      rngKind,
 			})
 		}}, nil
 	}

@@ -61,11 +61,6 @@ type Config struct {
 	// StoreBurst enables the consecutive-store scheduling rule of Section 3
 	// (on for C11Tester; the baselines do not have it).
 	StoreBurst bool
-	// RNG selects the random source backing the default strategy and the
-	// workload RNG (Engine.Rand): rng.PCG (the default) or rng.Legacy. A
-	// Strategy supplied explicitly carries its own source; this field still
-	// governs Engine.Rand.
-	RNG rng.Kind
 }
 
 func (c Config) withDefaults() Config {
@@ -79,7 +74,7 @@ func (c Config) withDefaults() Config {
 		c.Window = 64
 	}
 	if c.Strategy == nil {
-		c.Strategy = NewRandomStrategyKind(c.RNG)
+		c.Strategy = NewRandomStrategy()
 	}
 	return c
 }
@@ -116,27 +111,18 @@ type PrefixedStrategy interface {
 
 // RandomStrategy is the paper's default plugin: uniform random choices. The
 // rng.Rand is embedded by value, so the decision buffer lives inline and
-// re-seeding allocates nothing; all reseed mechanics (including the legacy
-// source's in-place table reset) live in internal/rng.
+// re-seeding allocates nothing; all reseed mechanics live in internal/rng.
 type RandomStrategy struct{ rng rng.Rand }
 
-// NewRandomStrategy returns a RandomStrategy on the default rng source.
-func NewRandomStrategy() *RandomStrategy { return NewRandomStrategyKind(rng.PCG) }
-
-// NewRandomStrategyKind returns a RandomStrategy drawing from the given rng
-// source (-rng legacy campaigns reproduce pre-PCG decision streams).
-func NewRandomStrategyKind(k rng.Kind) *RandomStrategy {
+// NewRandomStrategy returns a RandomStrategy seeded with 1.
+func NewRandomStrategy() *RandomStrategy {
 	s := &RandomStrategy{}
-	s.rng.SetKind(k)
 	s.rng.Seed(1)
 	return s
 }
 
 // Seed implements Strategy.
 func (s *RandomStrategy) Seed(seed int64) { s.rng.Seed(seed) }
-
-// RNGKind implements rng.Kinded.
-func (s *RandomStrategy) RNGKind() rng.Kind { return s.rng.Kind() }
 
 // PickThread implements Strategy.
 func (s *RandomStrategy) PickThread(ready []*ThreadState) *ThreadState {
@@ -158,14 +144,13 @@ type QuantumStrategy struct {
 	current   *ThreadState
 }
 
-// NewQuantumStrategyKind returns a QuantumStrategy drawing from the given
-// rng source.
-func NewQuantumStrategyKind(k rng.Kind, mean int) *QuantumStrategy {
+// NewQuantumStrategy returns a QuantumStrategy with the given mean quantum
+// (at least 1), seeded with 1.
+func NewQuantumStrategy(mean int) *QuantumStrategy {
 	if mean < 1 {
 		mean = 1
 	}
 	s := &QuantumStrategy{mean: mean}
-	s.rng.SetKind(k)
 	s.rng.Seed(1)
 	return s
 }
@@ -176,9 +161,6 @@ func (s *QuantumStrategy) Seed(seed int64) {
 	s.current = nil
 	s.remaining = 0
 }
-
-// RNGKind implements rng.Kinded.
-func (s *QuantumStrategy) RNGKind() rng.Kind { return s.rng.Kind() }
 
 // PickThread implements Strategy.
 func (s *QuantumStrategy) PickThread(ready []*ThreadState) *ThreadState {
@@ -246,8 +228,7 @@ type Engine struct {
 	// rng is the workload randomness source behind env.RandUint64, seeded
 	// lazily (rngSeed/rngSeeded): most programs never draw from it, and
 	// even the PCG source's O(1) reseed is work a program that never draws
-	// does not need. The legacy source's ~5KB lagged-Fibonacci state lives
-	// inside the rng.Rand and is still re-seeded in place when materialized.
+	// does not need.
 	rng       rng.Rand
 	rngSeed   int64
 	rngSeeded bool
@@ -325,7 +306,7 @@ func (e *Engine) Model() MemModel { return e.model }
 // strategy decision.
 func (e *Engine) SetStrategy(s Strategy) {
 	if s == nil {
-		s = NewRandomStrategyKind(e.cfg.RNG)
+		s = NewRandomStrategy()
 	}
 	e.cfg.Strategy = s
 }
@@ -365,10 +346,9 @@ func (e *Engine) Trace() []*Action { return e.trace }
 
 // Rand returns the engine's per-execution random source, materializing it on
 // first use in the execution (the source is a pure function of the execution
-// seed and Config.RNG either way).
+// seed either way).
 func (e *Engine) Rand() *rng.Rand {
 	if !e.rngSeeded {
-		e.rng.SetKind(e.cfg.RNG)
 		e.rng.Seed(e.rngSeed)
 		e.rngSeeded = true
 	}

@@ -1,343 +1,98 @@
 // Package explore implements campaign-level budget policies: the logic that
 // decides how many executions each (tool, program) cell of a campaign matrix
-// deserves. The paper's evaluation (and this repository's campaigns up to
-// summary schema v2) spends a uniform N executions per cell; a Converge
-// policy instead stops a cell once its observable statistics — detection
-// rate, distinct race keys, litmus outcome histogram — have stabilized, and
-// the campaign reassigns the freed budget to cells that are still diverging.
+// deserves. The paper's evaluation spends a uniform N executions per cell; a
+// Converge policy instead stops a cell once it is unlikely that one more
+// execution shows anything the cell has not shown yet, and the campaign
+// reassigns the freed budget to cells that are still finding new things.
 //
-// Determinism contract: a policy's stopping decision for a cell is a pure
-// function of that cell's own observation stream in execution-index order.
-// Executions themselves are pure functions of (tool, program, seed), so a
-// cell's stop point — and therefore the whole campaign's budget assignment —
-// is independent of worker count and scheduling, preserving the campaign
-// invariant that workers=1 and workers=K aggregate identically.
+// The stopping rule is a Good–Turing missing-mass bound (Good 1953). A cell's
+// keys are what one execution can show: its race keys, its litmus outcome,
+// and its detection signal. After n executions, let N1 be the number of keys
+// seen in exactly one of them. N1/n estimates the probability that the next
+// execution shows a key never seen before, and a cell may stop once that
+// estimate is at most Delta and n is at least 3/Delta (the rule of three: with
+// no singleton at all, 3/n is the 95% upper bound on the rate of an unseen
+// key).
+//
+// Determinism contract: the verdict is a pure function of a cell's execution
+// and singleton counts, which the campaign folds from the cell's executed
+// prefix in index order. Executions themselves are pure functions of (tool,
+// program, seed), so a cell's stop point — and therefore the whole campaign's
+// budget assignment — is independent of worker count and scheduling,
+// preserving the campaign invariant that workers=1 and workers=K aggregate
+// identically.
 package explore
 
 import "fmt"
 
-// Obs is the per-execution observation a tracker consumes, in execution
-// index order.
-type Obs struct {
-	// Detected reports whether the execution exhibited the cell's detection
-	// signal (a race for the data-structure suite, an assertion violation
-	// for the injected-bug suite, a forbidden outcome for litmus cells).
-	Detected bool
-	// RaceKeys are the deduplicated race keys of this execution.
-	RaceKeys []string
-	// Outcome is the litmus outcome string ("" for benchmark cells and
-	// starved litmus executions).
-	Outcome string
-}
+// Delta bounds the missing mass at which a Converge cell may stop: the
+// estimated probability that its next execution shows a new key.
+const Delta = 0.05
 
-// Tracker follows one cell's observation stream and decides convergence.
-// Trackers are confined to one cell and observe executions strictly in
-// index order; they are not goroutine-safe.
-type Tracker interface {
-	// Observe folds the next execution's observation into the tracker.
-	Observe(Obs)
-	// Converged reports whether the cell's statistics have stabilized and
-	// further executions may be cut. A converged tracker may keep observing
-	// (budget-reassignment waves re-check convergence) but must stay
-	// deterministic.
-	Converged() bool
-}
+// MinExecs is the rule-of-three floor 3/Delta below which no cell converges.
+const MinExecs int = 3 / Delta
 
-// TrackerState is a serializable snapshot of one tracker's internals: the
-// forensics surface behind the /debug/converge endpoint and the
-// cell_converge_state events. Every field is a pure function of the cell's
-// observation stream, so snapshots taken at deterministic points (wave
-// barriers) are identical across worker counts.
-type TrackerState struct {
-	// Execs and Detected are the full-stream totals; DetectionRate is their
-	// ratio (0 when no executions have been observed).
-	Execs         int     `json:"execs"`
-	Detected      int     `json:"detected"`
-	DetectionRate float64 `json:"detection_rate"`
-	// DistinctRaces counts the race keys ever seen; Outcomes is the full
-	// litmus-outcome histogram ("" excluded).
-	DistinctRaces int            `json:"distinct_races"`
-	Outcomes      map[string]int `json:"outcomes,omitempty"`
-	// Window is the configured trailing-window size and WindowFilled how
-	// much of it has been observed; WindowDetected and WindowOutcomes are
-	// the window's contents, and WindowNewInfo reports whether any window
-	// execution introduced a never-seen race key or outcome.
-	Window         int            `json:"window"`
-	WindowFilled   int            `json:"window_filled"`
-	WindowDetected int            `json:"window_detected"`
-	WindowOutcomes map[string]int `json:"window_outcomes,omitempty"`
-	WindowNewInfo  bool           `json:"window_new_info"`
-	// RateShift is the detection-rate movement the window causes (full-stream
-	// rate minus pre-window rate); OutcomeL1 the L1 distance between the
-	// normalized outcome histograms with and without the window. Both are 0
-	// when the corresponding leg has nothing to compare (no pre-window
-	// history, no outcomes).
-	RateShift float64 `json:"rate_shift"`
-	OutcomeL1 float64 `json:"outcome_l1"`
-	// MinExecs and Epsilon echo the policy thresholds the verdict applied.
-	MinExecs int     `json:"min_execs"`
-	Epsilon  float64 `json:"epsilon"`
-	// Converged is the tracker's current verdict.
-	Converged bool `json:"converged"`
-}
-
-// Introspector is the optional Tracker extension for trackers that can
-// explain their convergence decision. Converge trackers implement it;
-// Uniform's never-converging tracker has nothing to explain and does not.
-type Introspector interface {
-	State() TrackerState
-}
+// convergeChunk is the number of executions a Converge cell runs between
+// convergence checks.
+const convergeChunk = 10
 
 // Policy decides per-cell budgets.
 type Policy interface {
-	// Name renders the policy and its parameters for the summary spec echo.
+	// Name renders the policy for the summary spec echo.
 	Name() string
-	// NewTracker returns a fresh tracker for one cell.
-	NewTracker() Tracker
 	// Chunk is the number of executions a cell runs between convergence
 	// checks; 0 means the cell's whole budget at once (no early stopping).
 	Chunk() int
+	// Converged reports whether a cell that ran execs executions, singletons
+	// of whose keys were seen in exactly one of them, may stop.
+	Converged(execs, singletons int) bool
 }
 
-// Uniform is the fixed-budget policy: every cell runs its full budget, the
-// schema v1/v2 behaviour.
+// Uniform is the fixed-budget policy: every cell runs its full budget.
 type Uniform struct{}
 
 // Name implements Policy.
 func (Uniform) Name() string { return "uniform" }
 
-// NewTracker implements Policy.
-func (Uniform) NewTracker() Tracker { return neverConverged{} }
-
 // Chunk implements Policy.
 func (Uniform) Chunk() int { return 0 }
 
-type neverConverged struct{}
+// Converged implements Policy: a uniform cell never stops early.
+func (Uniform) Converged(int, int) bool { return false }
 
-func (neverConverged) Observe(Obs)     {}
-func (neverConverged) Converged() bool { return false }
-
-// Converge stops a cell once its race-detection rate and litmus-outcome
-// histogram converge. The zero value means the defaults below.
-type Converge struct {
-	// MinExecs is the floor before convergence may be declared (default 20).
-	MinExecs int
-	// Window is the trailing window the convergence test compares against
-	// the preceding history (default 10).
-	Window int
-	// Epsilon bounds the movement the trailing window may cause: the
-	// detection rate (as a fraction) may shift by at most Epsilon, and the
-	// L1 distance between the normalized outcome distributions with and
-	// without the window must stay within Epsilon (default 0.02).
-	Epsilon float64
-}
-
-// DefaultConverge are the Converge defaults.
-const (
-	DefaultConvergeMinExecs = 20
-	DefaultConvergeWindow   = 10
-	DefaultConvergeEpsilon  = 0.02
-)
-
-func (c Converge) withDefaults() Converge {
-	if c.MinExecs <= 0 {
-		c.MinExecs = DefaultConvergeMinExecs
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultConvergeWindow
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = DefaultConvergeEpsilon
-	}
-	if c.MinExecs < c.Window {
-		c.MinExecs = c.Window
-	}
-	return c
-}
+// Converge stops a cell once its Good–Turing missing-mass estimate is at most
+// Delta (see Estimate).
+type Converge struct{}
 
 // Name implements Policy.
-func (c Converge) Name() string {
-	c = c.withDefaults()
-	return fmt.Sprintf("converge(min=%d,window=%d,eps=%g)", c.MinExecs, c.Window, c.Epsilon)
-}
+func (Converge) Name() string { return fmt.Sprintf("converge(delta=%g)", Delta) }
 
 // Chunk implements Policy.
-func (c Converge) Chunk() int { return c.withDefaults().Window }
+func (Converge) Chunk() int { return convergeChunk }
 
-// NewTracker implements Policy.
-func (c Converge) NewTracker() Tracker {
-	c = c.withDefaults()
-	return &convergeTracker{cfg: c, raceSeen: map[string]bool{}, outcomes: map[string]int{}}
+// Converged implements Policy.
+func (Converge) Converged(execs, singletons int) bool {
+	return Estimate(execs, singletons).Converged
 }
 
-// windowObs is the digest of one observed execution kept in the trailing
-// window ring: whether it hit the signal, its outcome, and whether it
-// introduced a race key or outcome never seen before in this cell.
-type windowObs struct {
-	detected bool
-	outcome  string
-	newInfo  bool
+// MissingMass is the Converge verdict on one cell: the counts it is computed
+// from, the estimate N1/n, the bound it is held to, and whether the cell may
+// stop. It is what /debug/converge and the cell_converge_state events report.
+type MissingMass struct {
+	Execs      int     `json:"execs"`
+	Singletons int     `json:"singletons"`
+	Estimate   float64 `json:"estimate"`
+	Delta      float64 `json:"delta"`
+	Converged  bool    `json:"converged"`
 }
 
-type convergeTracker struct {
-	cfg Converge
-
-	n        int
-	detected int
-	raceSeen map[string]bool
-	outcomes map[string]int // full histogram, "" excluded
-
-	// ring holds the trailing Window observations.
-	ring []windowObs
-	next int
-}
-
-// Observe implements Tracker.
-func (t *convergeTracker) Observe(o Obs) {
-	w := windowObs{detected: o.Detected, outcome: o.Outcome}
-	for _, k := range o.RaceKeys {
-		if !t.raceSeen[k] {
-			t.raceSeen[k] = true
-			w.newInfo = true
-		}
+// Estimate computes the missing-mass verdict for a cell that ran execs
+// executions with singletons keys seen in exactly one of them.
+func Estimate(execs, singletons int) MissingMass {
+	m := MissingMass{Execs: execs, Singletons: singletons, Delta: Delta}
+	if execs > 0 {
+		m.Estimate = float64(singletons) / float64(execs)
 	}
-	if o.Outcome != "" {
-		if t.outcomes[o.Outcome] == 0 {
-			w.newInfo = true
-		}
-		t.outcomes[o.Outcome]++
-	}
-	t.n++
-	if o.Detected {
-		t.detected++
-	}
-	if len(t.ring) < t.cfg.Window {
-		t.ring = append(t.ring, w)
-	} else {
-		t.ring[t.next] = w
-		t.next = (t.next + 1) % len(t.ring)
-	}
-}
-
-// windowStats is the shared analysis of the trailing window that both the
-// Converged verdict and the State introspection snapshot read.
-type windowStats struct {
-	detected int
-	outcomes map[string]int
-	newInfo  bool
-	// rateShift is the detection-rate movement the window causes; valid only
-	// when haveRate (there is pre-window history to compare against).
-	haveRate  bool
-	rateShift float64
-	// l1 is the outcome-distribution movement; valid only when haveL1 (the
-	// cell has outcomes). priorTotZero flags the all-outcomes-arrived-inside-
-	// the-window case, which vetoes convergence on its own.
-	haveL1       bool
-	l1           float64
-	priorTotZero bool
-}
-
-func (t *convergeTracker) windowStats() windowStats {
-	s := windowStats{outcomes: map[string]int{}}
-	for _, w := range t.ring {
-		if w.newInfo {
-			s.newInfo = true
-		}
-		if w.detected {
-			s.detected++
-		}
-		if w.outcome != "" {
-			s.outcomes[w.outcome]++
-		}
-	}
-	if base := t.n - len(t.ring); base > 0 && t.n > 0 {
-		full := float64(t.detected) / float64(t.n)
-		prior := float64(t.detected-s.detected) / float64(base)
-		s.haveRate = true
-		s.rateShift = full - prior
-	}
-	tot := 0
-	for _, n := range t.outcomes {
-		tot += n
-	}
-	if tot > 0 {
-		s.haveL1 = true
-		priorTot := 0
-		for out, n := range t.outcomes {
-			priorTot += n - s.outcomes[out]
-		}
-		if priorTot == 0 {
-			s.priorTotZero = true
-		} else {
-			for out, n := range t.outcomes {
-				p := float64(n) / float64(tot)
-				q := float64(n-s.outcomes[out]) / float64(priorTot)
-				if d := p - q; d >= 0 {
-					s.l1 += d
-				} else {
-					s.l1 -= d
-				}
-			}
-		}
-	}
-	return s
-}
-
-// Converged implements Tracker: the cell has run its floor, the trailing
-// window introduced no new race key or outcome, and removing the window
-// moves neither the detection rate nor the outcome distribution by more
-// than Epsilon. (With no history before the window there is no rate to
-// compare, and the leg is skipped; the new-information test still vetoes
-// windows that introduced unseen race keys or outcomes. Cells with no
-// outcomes at all — benchmarks — skip the L1 leg.)
-func (t *convergeTracker) Converged() bool {
-	if t.n < t.cfg.MinExecs || len(t.ring) < t.cfg.Window {
-		return false
-	}
-	s := t.windowStats()
-	if s.newInfo {
-		return false
-	}
-	if s.haveRate && (s.rateShift > t.cfg.Epsilon || s.rateShift < -t.cfg.Epsilon) {
-		return false
-	}
-	if s.priorTotZero {
-		return false // all outcomes arrived inside the window
-	}
-	if s.haveL1 && s.l1 > t.cfg.Epsilon {
-		return false
-	}
-	return true
-}
-
-// State implements Introspector.
-func (t *convergeTracker) State() TrackerState {
-	s := t.windowStats()
-	st := TrackerState{
-		Execs:          t.n,
-		Detected:       t.detected,
-		DistinctRaces:  len(t.raceSeen),
-		Window:         t.cfg.Window,
-		WindowFilled:   len(t.ring),
-		WindowDetected: s.detected,
-		WindowNewInfo:  s.newInfo,
-		RateShift:      s.rateShift,
-		OutcomeL1:      s.l1,
-		MinExecs:       t.cfg.MinExecs,
-		Epsilon:        t.cfg.Epsilon,
-		Converged:      t.Converged(),
-	}
-	if t.n > 0 {
-		st.DetectionRate = float64(t.detected) / float64(t.n)
-	}
-	if len(t.outcomes) > 0 {
-		st.Outcomes = make(map[string]int, len(t.outcomes))
-		for k, v := range t.outcomes {
-			st.Outcomes[k] = v
-		}
-	}
-	if len(s.outcomes) > 0 {
-		st.WindowOutcomes = s.outcomes
-	}
-	return st
+	m.Converged = execs >= MinExecs && m.Estimate <= Delta
+	return m
 }

@@ -1,237 +1,73 @@
 package explore
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestUniformNeverConverges(t *testing.T) {
 	p := Uniform{}
 	if p.Chunk() != 0 {
 		t.Fatalf("Uniform.Chunk() = %d, want 0 (whole budget)", p.Chunk())
 	}
-	tr := p.NewTracker()
-	for i := 0; i < 1000; i++ {
-		tr.Observe(Obs{Detected: true, Outcome: "x"})
-		if tr.Converged() {
-			t.Fatalf("uniform tracker converged after %d observations", i+1)
+	for execs := 0; execs < 1000; execs += 7 {
+		if p.Converged(execs, 0) {
+			t.Fatalf("uniform policy converged after %d executions", execs)
 		}
 	}
 }
 
+// TestConvergeStableStreamConvergesAtFloor pins the rule-of-three floor: a
+// cell with no singleton key converges at exactly 3/Delta executions and not
+// one before.
 func TestConvergeStableStreamConvergesAtFloor(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
-	tr := c.NewTracker()
-	for i := 0; i < 19; i++ {
-		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1"}, Outcome: "a"})
-		if tr.Converged() {
-			t.Fatalf("converged after %d < MinExecs observations", i+1)
+	var c Converge
+	if c.Converged(MinExecs-1, 0) {
+		t.Fatalf("converged after %d < %d executions", MinExecs-1, MinExecs)
+	}
+	if !c.Converged(MinExecs, 0) {
+		t.Fatalf("stream with no singleton did not converge at the %d-execution floor", MinExecs)
+	}
+}
+
+// TestConvergeSingletonsBlockConvergence pins the missing-mass bound: the
+// cell stops while N1/n ≤ Delta and keeps running once one more key is a
+// singleton.
+func TestConvergeSingletonsBlockConvergence(t *testing.T) {
+	var c Converge
+	for _, tc := range []struct {
+		execs, singletons int
+		want              bool
+	}{
+		{60, 3, true}, {60, 4, false},
+		{100, 5, true}, {100, 6, false},
+		{1000, 50, true}, {1000, 51, false},
+	} {
+		if got := c.Converged(tc.execs, tc.singletons); got != tc.want {
+			t.Errorf("Converged(%d, %d) = %v, want %v", tc.execs, tc.singletons, got, tc.want)
 		}
-	}
-	tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1"}, Outcome: "a"})
-	if !tr.Converged() {
-		t.Fatal("perfectly stable stream did not converge at the MinExecs floor")
-	}
-}
-
-func TestConvergeNewRaceKeyInWindowBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 1} // epsilon wide open
-	tr := c.NewTracker()
-	for i := 0; i < 25; i++ {
-		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1"}})
-	}
-	if !tr.Converged() {
-		t.Fatal("stable race stream did not converge")
-	}
-	tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1", "r2"}})
-	if tr.Converged() {
-		t.Fatal("a first-seen race key inside the window must block convergence")
-	}
-	// Once the novelty leaves the trailing window, convergence returns.
-	for i := 0; i < 10; i++ {
-		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1", "r2"}})
-	}
-	if !tr.Converged() {
-		t.Fatal("novelty outside the window must not block convergence forever")
-	}
-}
-
-func TestConvergeNewOutcomeInWindowBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 1}
-	tr := c.NewTracker()
-	for i := 0; i < 30; i++ {
-		tr.Observe(Obs{Outcome: fmt.Sprintf("o%d", i%2)})
-	}
-	if !tr.Converged() {
-		t.Fatal("two-outcome alternating stream did not converge")
-	}
-	tr.Observe(Obs{Outcome: "fresh"})
-	if tr.Converged() {
-		t.Fatal("a first-seen outcome inside the window must block convergence")
-	}
-}
-
-func TestConvergeRateDriftBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
-	tr := c.NewTracker()
-	// 20 undetected executions, then a trailing window full of detections:
-	// the rate is still climbing, so the cell must not stop.
-	for i := 0; i < 20; i++ {
-		tr.Observe(Obs{})
-	}
-	if !tr.Converged() {
-		t.Fatal("flat zero-rate stream did not converge")
-	}
-	for i := 0; i < 10; i++ {
-		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r"}})
-	}
-	if tr.Converged() {
-		t.Fatal("rate climbing through the window must block convergence")
-	}
-}
-
-func TestConvergeOutcomeDistributionDriftBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 40, Window: 20, Epsilon: 0.05}
-	tr := c.NewTracker()
-	// 40 executions split 50/50 over two outcomes...
-	for i := 0; i < 40; i++ {
-		tr.Observe(Obs{Outcome: fmt.Sprintf("o%d", i%2)})
-	}
-	if !tr.Converged() {
-		t.Fatal("balanced histogram did not converge")
-	}
-	// ...then a window that is all o0: the distribution is shifting.
-	for i := 0; i < 20; i++ {
-		tr.Observe(Obs{Outcome: "o0"})
-	}
-	if tr.Converged() {
-		t.Fatal("histogram drift through the window must block convergence")
 	}
 }
 
 func TestConvergeDefaultsAndName(t *testing.T) {
 	var c Converge
-	if c.Chunk() != DefaultConvergeWindow {
-		t.Errorf("zero-value Chunk() = %d, want %d", c.Chunk(), DefaultConvergeWindow)
+	if c.Chunk() != convergeChunk {
+		t.Errorf("Chunk() = %d, want %d", c.Chunk(), convergeChunk)
 	}
-	if want := "converge(min=20,window=10,eps=0.02)"; c.Name() != want {
+	if want := "converge(delta=0.05)"; c.Name() != want {
 		t.Errorf("Name() = %q, want %q", c.Name(), want)
 	}
-	// MinExecs below Window is raised to Window.
-	c = Converge{MinExecs: 3, Window: 10}
-	tr := c.NewTracker()
-	for i := 0; i < 9; i++ {
-		tr.Observe(Obs{})
-		if tr.Converged() {
-			t.Fatal("converged before a full window was observed")
-		}
-	}
-	tr.Observe(Obs{})
-	if !tr.Converged() {
-		t.Fatal("flat stream with a full window did not converge")
+	if MinExecs != 60 {
+		t.Errorf("MinExecs = %d, want 3/Delta = 60", MinExecs)
 	}
 }
 
-// TestConvergeDeterministicReplay pins the policy determinism contract: two
-// trackers fed the same stream agree at every step.
-func TestConvergeDeterministicReplay(t *testing.T) {
-	c := Converge{}
-	a, b := c.NewTracker(), c.NewTracker()
-	stream := make([]Obs, 200)
-	for i := range stream {
-		o := Obs{Detected: i%3 == 0, Outcome: fmt.Sprintf("o%d", i%4)}
-		if i%3 == 0 {
-			o.RaceKeys = []string{fmt.Sprintf("r%d", i%5)}
-		}
-		stream[i] = o
+// TestEstimateReportsItsInputs pins the introspection record: the counts, the
+// estimate, the bound, and a verdict that agrees with the policy.
+func TestEstimateReportsItsInputs(t *testing.T) {
+	m := Estimate(80, 2)
+	want := MissingMass{Execs: 80, Singletons: 2, Estimate: 0.025, Delta: Delta, Converged: true}
+	if m != want {
+		t.Fatalf("Estimate(80, 2) = %+v, want %+v", m, want)
 	}
-	for i, o := range stream {
-		a.Observe(o)
-		b.Observe(o)
-		if a.Converged() != b.Converged() {
-			t.Fatalf("trackers disagree at step %d", i)
-		}
+	if z := Estimate(0, 0); z.Estimate != 0 || z.Converged {
+		t.Fatalf("Estimate(0, 0) = %+v, want a zero estimate and no verdict", z)
 	}
-}
-
-// TestTrackerStateIntrospection pins the State snapshot against a known
-// observation stream: the snapshot's aggregates, window contents, and verdict
-// must agree with the tracker's own Converged decision, and Uniform's tracker
-// must not claim introspection at all.
-func TestTrackerStateIntrospection(t *testing.T) {
-	if _, ok := (Uniform{}).NewTracker().(Introspector); ok {
-		t.Fatal("uniform tracker claims introspection with nothing to explain")
-	}
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
-	tr := c.NewTracker()
-	in, ok := tr.(Introspector)
-	if !ok {
-		t.Fatal("converge tracker does not implement Introspector")
-	}
-
-	// Empty tracker: all zero, not converged.
-	st := in.State()
-	if st.Execs != 0 || st.DetectionRate != 0 || st.WindowFilled != 0 || st.Converged {
-		t.Fatalf("zero-stream state = %+v", st)
-	}
-	if st.Window != 10 || st.MinExecs != 20 || st.Epsilon != 0.02 {
-		t.Fatalf("state does not echo policy thresholds: %+v", st)
-	}
-
-	// 15 detections with race r1 and outcome a, then 10 clean executions
-	// with outcome b: the window holds the 10 clean ones, which introduced
-	// outcome b (new info) and moved the detection rate from 15/15 to 15/25.
-	for i := 0; i < 15; i++ {
-		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1"}, Outcome: "a"})
-	}
-	for i := 0; i < 10; i++ {
-		tr.Observe(Obs{Detected: false, Outcome: "b"})
-	}
-	st = in.State()
-	if st.Execs != 25 || st.Detected != 15 || st.DistinctRaces != 1 {
-		t.Fatalf("aggregates = %+v", st)
-	}
-	if got, want := st.DetectionRate, 15.0/25.0; got != want {
-		t.Fatalf("detection rate = %g, want %g", got, want)
-	}
-	if st.WindowFilled != 10 || st.WindowDetected != 0 {
-		t.Fatalf("window contents = %+v", st)
-	}
-	if !st.WindowNewInfo {
-		t.Fatal("window introduced outcome b but WindowNewInfo is false")
-	}
-	if st.Outcomes["a"] != 15 || st.Outcomes["b"] != 10 || st.WindowOutcomes["b"] != 10 {
-		t.Fatalf("outcome histograms = %+v", st)
-	}
-	// Rate shift: full 15/25 minus prior 15/15 = -0.4.
-	if got, want := st.RateShift, 15.0/25.0-1.0; got != want {
-		t.Fatalf("rate shift = %g, want %g", got, want)
-	}
-	if st.Converged || st.Converged != tr.Converged() {
-		t.Fatalf("verdict = %v, tracker says %v", st.Converged, tr.Converged())
-	}
-
-	// Run the same mix until it stabilizes; the snapshot verdict must track.
-	for i := 0; i < 40; i++ {
-		out := "a"
-		det := i%2 == 0
-		if !det {
-			out = "b"
-		}
-		tr.Observe(Obs{Detected: det, Outcome: out, RaceKeys: raceIf(det)})
-	}
-	st = in.State()
-	if st.Converged != tr.Converged() {
-		t.Fatalf("snapshot verdict %v diverges from Converged() %v", st.Converged, tr.Converged())
-	}
-	if st.Execs != 65 {
-		t.Fatalf("execs = %d, want 65", st.Execs)
-	}
-}
-
-func raceIf(det bool) []string {
-	if det {
-		return []string{"r1"}
-	}
-	return nil
 }

@@ -101,8 +101,9 @@ type Test struct {
 	// Forbidden outcomes under the C11Tester fragment (hb ∪ sc ∪ rf
 	// acyclic). Observing one is a model soundness bug.
 	Forbidden map[string]bool
-	// Weak outcomes are allowed but not sequentially consistent; a complete
-	// exploration should eventually produce them.
+	// Weak outcomes are allowed but not sequentially consistent: no
+	// execution producing one is SC-explainable (TestWeakOutcomesAreNotSC).
+	// A complete exploration should eventually produce them.
 	Weak map[string]bool
 	// BaselineForbidden marks outcomes additionally forbidden under the
 	// tsan11/tsan11rec fragment (hb ∪ sc ∪ rf ∪ mo acyclic): the fragment
@@ -202,7 +203,6 @@ func Tests() []*Test {
 			Name:      "CoRR",
 			Doc:       "read-read coherence: same-thread writes 1 then 2 can never be read 2 then 1",
 			Forbidden: map[string]bool{"21": true, "10": true, "20": true},
-			Weak:      map[string]bool{"01": true, "02": true},
 			Make: func(out *string) capi.Program {
 				var x capi.Loc
 				aBody := func(env capi.Env) {
@@ -239,7 +239,6 @@ func Tests() []*Test {
 			Name:      "RelSeq+rmw",
 			Doc:       "C++20 release sequence: relaxed RMW passes synchronization through",
 			Forbidden: map[string]bool{"sync-miss": true},
-			Weak:      map[string]bool{"synced": true},
 			Make: func(out *string) capi.Program {
 				var d, f capi.Loc
 				aBody := func(env capi.Env) {

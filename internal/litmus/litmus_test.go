@@ -3,6 +3,7 @@ package litmus
 import (
 	"testing"
 
+	"c11tester/internal/axiom"
 	"c11tester/internal/baseline"
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
@@ -41,6 +42,43 @@ func TestC11TesterCompleteness(t *testing.T) {
 				if hist[o] == 0 {
 					t.Errorf("weak outcome %q never observed: %v", o, hist)
 				}
+			}
+		})
+	}
+}
+
+// TestWeakOutcomesAreNotSC pins the Weak field's own definition: an outcome
+// labelled weak is not sequentially consistent, so no execution producing it
+// may be SC-explainable. Every execution of a fixed seed range per test runs
+// traced on the C11Tester engine, and each one that yields a weak outcome
+// is lifted (axiom.FromEngine) and searched for an SC interleaving.
+func TestWeakOutcomesAreNotSC(t *testing.T) {
+	const seeds = 1500
+	for _, lt := range Tests() {
+		if len(lt.Weak) == 0 {
+			continue
+		}
+		lt := lt
+		t.Run(lt.Name, func(t *testing.T) {
+			eng := core.New("c11tester", core.NewC11Model(), core.Config{StoreBurst: true, Trace: true})
+			defer eng.Close()
+			mo := eng.Model().(core.MOProvider)
+			var out string
+			prog := lt.Make(&out)
+			weak := 0
+			for seed := int64(0); seed < seeds; seed++ {
+				out = ""
+				eng.Execute(prog, seed)
+				if !lt.Weak[out] {
+					continue
+				}
+				weak++
+				if axiom.SCExplainable(axiom.FromEngine(eng, mo)) {
+					t.Fatalf("seed %d: weak outcome %q has an SC-explainable execution", seed, out)
+				}
+			}
+			if weak == 0 {
+				t.Errorf("no weak outcome in %d seeds; the check saw nothing", seeds)
 			}
 		})
 	}

@@ -86,6 +86,7 @@ func TestParseHandoff(t *testing.T) {
 
 func TestBlockAndWake(t *testing.T) {
 	s := New(Coro)
+	defer s.Shutdown()
 	order := []string{}
 	main := s.NewThread("main", func(th *Thread) {
 		th.Call(&capi.Op{Kind: memmodel.KMutexLock})
@@ -112,6 +113,7 @@ func TestBlockAndWake(t *testing.T) {
 
 func TestNestedSpawn(t *testing.T) {
 	s := New(Coro)
+	defer s.Shutdown()
 	var childSeen bool
 	main := s.NewThread("main", func(th *Thread) {
 		op := &capi.Op{Kind: memmodel.KThreadCreate}
@@ -139,6 +141,7 @@ func TestNestedSpawn(t *testing.T) {
 
 func TestAbortUnwindsThreads(t *testing.T) {
 	s := New(Coro)
+	defer s.Shutdown()
 	cleanedUp := false
 	s.NewThread("main", func(th *Thread) {
 		defer func() { cleanedUp = true }()
@@ -264,6 +267,7 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 
 func TestSchedulerResetRecyclesThreads(t *testing.T) {
 	s := New(Coro)
+	defer s.Shutdown()
 	runOnce := func(wantRecycled []*Thread) []*Thread {
 		var handles []*Thread
 		for i := 0; i < 3; i++ {

@@ -88,20 +88,13 @@ func (g *PrefixGuide) Seed(seed int64) {
 		max = min
 	}
 	// A distinct RNG (seed XOR'd with an arbitrary odd constant) keeps the
-	// depth draw from perturbing the inner strategy's choice stream. It
-	// follows the inner strategy's rng source (rng.KindOf), so a -rng legacy
-	// guided campaign stays a pure function of (schedule, seed) with exactly
-	// the pre-PCG depth sequence.
-	g.depthRng.SetKind(rng.KindOf(g.inner))
+	// depth draw from perturbing the inner strategy's choice stream.
 	g.depthRng.Seed(seed ^ 0x5bf03635)
 	g.depth = min
 	if max > min {
 		g.depth = min + g.depthRng.Intn(max-min+1)
 	}
 }
-
-// RNGKind implements rng.Kinded, reporting the inner strategy's source.
-func (g *PrefixGuide) RNGKind() rng.Kind { return rng.KindOf(g.inner) }
 
 // handoff permanently switches control to the inner strategy.
 func (g *PrefixGuide) handoff(diverged bool) {

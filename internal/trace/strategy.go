@@ -5,7 +5,6 @@ import (
 
 	"c11tester/internal/core"
 	"c11tester/internal/memmodel"
-	"c11tester/internal/rng"
 )
 
 // Recorder wraps an exploration strategy and logs every choice it makes.
@@ -30,10 +29,6 @@ func (r *Recorder) Seed(seed int64) {
 	r.inner.Seed(seed)
 	r.sched = Schedule{}
 }
-
-// RNGKind implements rng.Kinded, reporting the inner strategy's source so
-// wrappers stacked on a Recorder (e.g. a PrefixGuide) stay on it.
-func (r *Recorder) RNGKind() rng.Kind { return rng.KindOf(r.inner) }
 
 // PickThread implements core.Strategy.
 func (r *Recorder) PickThread(ready []*core.ThreadState) *core.ThreadState {

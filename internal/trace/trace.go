@@ -26,6 +26,7 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 	"c11tester/internal/memmodel"
+	"c11tester/internal/rng"
 	"c11tester/internal/safeio"
 )
 
@@ -45,9 +46,9 @@ type ToolConfig struct {
 	Sched       string `json:"sched,omitempty"`
 	QuantumMean int    `json:"quantum_mean,omitempty"`
 	MaxSteps    uint64 `json:"max_steps,omitempty"`
-	// RNG names a non-default random source ("legacy"); empty means the
-	// default PCG source. Replay must rebuild the tool on the same source:
-	// workload draws (env.RandUint64) depend on it.
+	// RNG is never written: traces of earlier builds set it to "legacy" when
+	// they ran on math/rand's stream. That stream is gone, so ReadFile
+	// refuses such a trace rather than replay it on PCG (rng.Check).
 	RNG string `json:"rng,omitempty"`
 }
 
@@ -319,6 +320,9 @@ func ReadFile(path string) (*Trace, error) {
 	}
 	if tr.SchemaVersion != SchemaVersion {
 		return nil, fmt.Errorf("trace: %s: schema version %d, want %d", path, tr.SchemaVersion, SchemaVersion)
+	}
+	if err := rng.Check(tr.Tool.RNG); err != nil {
+		return nil, fmt.Errorf("trace: %s: %v", path, err)
 	}
 	return &tr, nil
 }
