@@ -24,8 +24,13 @@ import (
 // handoff-wait AND per-phase span measurement on, plus an armed flight
 // recorder fed a digest per execution — so the observability fabric is
 // itself held to the zero-alloc bar the runner's hot path relies on, exactly
-// as a -capture campaign runs it.
+// as a -capture campaign runs it. The subtest names the one rng source,
+// pcg, whose fast path is allocation-free by construction.
 func TestZeroAllocSteadyState(t *testing.T) {
+	t.Run("pcg", testZeroAllocSteadyState)
+}
+
+func testZeroAllocSteadyState(t *testing.T) {
 	benches, err := SelectBenchmarks("all")
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package explore
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestUniformNeverConverges(t *testing.T) {
 	p := Uniform{}
@@ -43,6 +46,78 @@ func TestConvergeSingletonsBlockConvergence(t *testing.T) {
 		if got := c.Converged(tc.execs, tc.singletons); got != tc.want {
 			t.Errorf("Converged(%d, %d) = %v, want %v", tc.execs, tc.singletons, got, tc.want)
 		}
+	}
+}
+
+// keyStream counts, per key, the executions of a cell that showed it, so a
+// test can feed Converge the (execs, singletons) pair the campaign folds.
+type keyStream struct {
+	execs int
+	seen  map[string]int
+}
+
+func (s *keyStream) observe(keys ...string) {
+	if s.seen == nil {
+		s.seen = map[string]int{}
+	}
+	s.execs++
+	for _, k := range keys {
+		s.seen[k]++
+	}
+}
+
+func (s *keyStream) converged() bool {
+	n1 := 0
+	for _, c := range s.seen {
+		if c == 1 {
+			n1++
+		}
+	}
+	return Converge{}.Converged(s.execs, n1)
+}
+
+// TestConvergeNewRaceKeyInWindowBlocksConvergence pins that a first-seen race
+// key blocks a cell sitting at the missing-mass bound, and that the block
+// lifts once the key is seen a second time: novelty holds a cell only while
+// it is a singleton, not forever.
+func TestConvergeNewRaceKeyInWindowBlocksConvergence(t *testing.T) {
+	var s keyStream
+	// Three early one-off races, then a stable stream: 3/60 = Delta.
+	for _, k := range []string{"race:a", "race:b", "race:c"} {
+		s.observe("race:r1", k)
+	}
+	for s.execs < MinExecs {
+		s.observe("race:r1")
+	}
+	if !s.converged() {
+		t.Fatal("stable race stream at the bound did not converge")
+	}
+	s.observe("race:r1", "race:r2")
+	if s.converged() {
+		t.Fatal("a first-seen race key past the bound must block convergence")
+	}
+	s.observe("race:r1", "race:r2")
+	if !s.converged() {
+		t.Fatal("a race key seen twice must not block convergence")
+	}
+}
+
+// TestConvergeNewOutcomeInWindowBlocksConvergence pins the same for litmus
+// outcomes: a fresh outcome on a cell at the bound keeps it running.
+func TestConvergeNewOutcomeInWindowBlocksConvergence(t *testing.T) {
+	var s keyStream
+	for _, o := range []string{"out:a", "out:b", "out:c"} {
+		s.observe(o)
+	}
+	for s.execs < MinExecs {
+		s.observe(fmt.Sprintf("out:o%d", s.execs%2))
+	}
+	if !s.converged() {
+		t.Fatal("two-outcome alternating stream did not converge")
+	}
+	s.observe("out:fresh")
+	if s.converged() {
+		t.Fatal("a first-seen outcome past the bound must block convergence")
 	}
 }
 
