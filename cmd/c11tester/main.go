@@ -35,7 +35,21 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(args []string, out *os.File) int {
+// config is a parsed command line: the campaign it describes, and the flags
+// that act around the campaign rather than inside it.
+type config struct {
+	spec     campaign.Spec
+	tflags   campaign.TelemetryFlags
+	jsonPath string
+	record   string
+	cpuProf  string
+	memProf  string
+	quiet    bool
+}
+
+// parse turns the command line into a config. done reports that the command
+// finished while parsing (-list, -compare, or a bad flag) with exit code code.
+func parse(args []string, out *os.File) (cfg config, code int, done bool) {
 	fs := flag.NewFlagSet("c11tester", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -65,29 +79,29 @@ func run(args []string, out *os.File) int {
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile taken after the campaign to this file")
 	)
-	var tflags campaign.TelemetryFlags
+	tflags := &cfg.tflags
 	tflags.Register(fs)
 	var cflags campaign.CrashFlags
 	cflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
-		return 1
+		return cfg, 1, true
 	}
 	tflags.Quiet = *quiet
 	if *compare != "" {
-		return runCompare(*compare, fs.Args(), out)
+		return cfg, runCompare(*compare, fs.Args(), out), true
 	}
 	if *list {
 		fmt.Fprintf(out, "tools:      %s\n", strings.Join(campaign.StandardToolNames(), " "))
 		fmt.Fprintf(out, "benchmarks: %s\n", strings.Join(structures.Names(), " "))
 		fmt.Fprintf(out, "litmus:     %s\n", strings.Join(litmus.Names(), " "))
 		fmt.Fprintf(out, "analyzers:  %s\n", strings.Join(analysis.Names(), " "))
-		return 0
+		return cfg, 0, true
 	}
 
 	pruneMode, err := campaign.ParsePrune(*prune)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
+		return cfg, 1, true
 	}
 	opts := campaign.ToolOptions{
 		Prune:       pruneMode,
@@ -99,13 +113,13 @@ func run(args []string, out *os.File) int {
 	if *record != "" {
 		if err := os.MkdirAll(*record, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester: -record:", err)
-			return 1
+			return cfg, 1, true
 		}
 	}
 	pol, err := campaign.ParsePolicy(*policy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
+		return cfg, 1, true
 	}
 	spec := campaign.Spec{
 		Runs: *runs, SeedBase: *seed,
@@ -120,7 +134,7 @@ func run(args []string, out *os.File) int {
 		guides, err := campaign.LoadGuides(*guide)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester:", err)
-			return 1
+			return cfg, 1, true
 		}
 		spec.Guides = guides
 	}
@@ -128,40 +142,53 @@ func run(args []string, out *os.File) int {
 		ts, err := campaign.StandardTool(name, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester:", err)
-			return 1
+			return cfg, 1, true
 		}
 		spec.Tools = append(spec.Tools, ts)
 	}
 	spec.Benchmarks, err = campaign.SelectBenchmarks(*bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
+		return cfg, 1, true
 	}
 	spec.Litmus, err = campaign.SelectLitmus(*lit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
+		return cfg, 1, true
 	}
 	if err := tflags.ApplyCaptureFlags(&spec); err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
+		return cfg, 1, true
 	}
 	// Crash-safety flags resolve after the matrix so -resume can validate the
 	// checkpoint's spec digest against the fully-built spec; the rotation of a
 	// previous event stream must also precede SetupTelemetry opening it.
 	if err := cflags.Apply(&spec, tflags.EventsPath, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
+		return cfg, 1, true
 	}
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
+		return cfg, 1, true
 	}
+	cfg.spec = spec
+	cfg.jsonPath, cfg.record = *jsonPath, *record
+	cfg.cpuProf, cfg.memProf = *cpuProf, *memProf
+	cfg.quiet = *quiet
+	return cfg, 0, false
+}
+
+func run(args []string, out *os.File) int {
+	cfg, code, done := parse(args, out)
+	if done {
+		return code
+	}
+	spec := cfg.spec
 
 	// Telemetry fabric: per-wave progress lines, the structured event
 	// stream, and the live serving surface all hang off one Telemetry,
 	// wired by the helper shared with cmd/litmus.
-	tel, cleanup, err := campaign.SetupTelemetry("c11tester", tflags)
+	tel, cleanup, err := campaign.SetupTelemetry("c11tester", cfg.tflags)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -172,8 +199,8 @@ func run(args []string, out *os.File) int {
 	// Profiling hooks: make hot-path investigation a one-liner
 	// (go run ./cmd/c11tester -runs 200 -cpuprofile cpu.pb.gz, then
 	// go tool pprof cpu.pb.gz).
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if cfg.cpuProf != "" {
+		f, err := os.Create(cfg.cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester: -cpuprofile:", err)
 			return 1
@@ -188,8 +215,8 @@ func run(args []string, out *os.File) int {
 
 	sum := campaign.Run(spec)
 
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
+	if cfg.memProf != "" {
+		f, err := os.Create(cfg.memProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester: -memprofile:", err)
 			return 1
@@ -202,24 +229,24 @@ func run(args []string, out *os.File) int {
 		}
 	}
 
-	if !*quiet {
+	if !cfg.quiet {
 		fmt.Fprint(out, sum.String())
 	}
-	if *jsonPath != "" {
-		if err := sum.WriteJSON(*jsonPath); err != nil {
+	if cfg.jsonPath != "" {
+		if err := sum.WriteJSON(cfg.jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester:", err)
 			return 1
 		}
-		if !*quiet {
-			fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
+		if !cfg.quiet {
+			fmt.Fprintf(out, "\nwrote %s\n", cfg.jsonPath)
 		}
 		if sum.Shard != nil {
-			manPath := *jsonPath + ".shard.json"
+			manPath := cfg.jsonPath + ".shard.json"
 			if err := campaign.BuildShardManifest(spec, sum).WriteFile(manPath); err != nil {
 				fmt.Fprintln(os.Stderr, "c11tester:", err)
 				return 1
 			}
-			if !*quiet {
+			if !cfg.quiet {
 				fmt.Fprintf(out, "wrote %s\n", manPath)
 			}
 		}
@@ -231,7 +258,7 @@ func run(args []string, out *os.File) int {
 		return 2
 	}
 	if n := sum.RecordErrors(); n > 0 {
-		fmt.Fprintf(os.Stderr, "c11tester: failed to record %d trace(s) to %s\n", n, *record)
+		fmt.Fprintf(os.Stderr, "c11tester: failed to record %d trace(s) to %s\n", n, cfg.record)
 		return 1
 	}
 	return 0

@@ -17,22 +17,19 @@ var ciTrajectoryArgs = []string{"-runs", "50", "-workers", "1", "-q"}
 // gate to what it claims to gate: the committed BENCH_campaign.json must
 // echo exactly the spec of the CI command (every tool, the full matrix,
 // runs, seed base, workers), or tools and cells the CI run has and the
-// artifact lacks go uncompared. Regenerate the artifact with
+// artifact lacks go uncompared. The echo is a function of the flags alone,
+// so no campaign runs. Regenerate the artifact with
 // `go run ./cmd/c11tester -runs 50 -workers 1 -json BENCH_campaign.json -q`.
 func TestCommittedArtifactSpecMatchesCICommand(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "now.json")
-	if code := run(append(ciTrajectoryArgs, "-json", path), os.Stdout); code != 0 {
-		t.Fatalf("CI trajectory campaign exited %d", code)
-	}
-	now, err := campaign.LoadSummary(path)
-	if err != nil {
-		t.Fatal(err)
+	cfg, code, done := parse(ciTrajectoryArgs, os.Stdout)
+	if done {
+		t.Fatalf("parsing the CI trajectory command finished with exit code %d", code)
 	}
 	committed, err := campaign.LoadSummary(filepath.Join("..", "..", "BENCH_campaign.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(now.Spec, committed.Spec) {
-		t.Fatalf("committed BENCH_campaign.json spec %+v differs from the CI command's %+v", committed.Spec, now.Spec)
+	if now := cfg.spec.Info(); !reflect.DeepEqual(now, committed.Spec) {
+		t.Fatalf("committed BENCH_campaign.json spec %+v differs from the CI command's %+v", committed.Spec, now)
 	}
 }

@@ -333,7 +333,7 @@ func Run(spec Spec) *Summary {
 	// shows up in the campaign's GC summary.
 	f := &fold{states: make([]CellState, len(spec.cellJobs()))}
 	tel.bind(spec, f)
-	tel.campaignStart(specInfo(spec))
+	tel.campaignStart(spec.Info())
 
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -371,7 +371,7 @@ func Run(spec Spec) *Summary {
 		PauseTotalNS: ms1.PauseTotalNs - ms0.PauseTotalNs,
 	}
 	cells := spec.cells(tel.observed(spec, f.states), budgets)
-	sum := render(specInfo(spec), cells)
+	sum := render(spec.Info(), cells)
 	sum.WallNS, sum.GC, sum.Provenance = int64(wall), gc, BuildProvenance()
 	sum.CheckpointErrors = ck.errs
 	if spec.Shard.Count > 1 {

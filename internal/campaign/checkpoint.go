@@ -188,7 +188,7 @@ type CellCheckpoint struct {
 func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, f *fold) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
-		SpecDigest: SpecDigest(spec), Spec: specInfo(spec),
+		SpecDigest: SpecDigest(spec), Spec: spec.Info(),
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
 		EventsEmitted: tel.EventsEmitted(), EventsDropped: tel.EventsDropped(),

@@ -30,10 +30,12 @@ func SplitComparePaths(oldArg string, positional []string) (oldPath, newPath str
 }
 
 // LoadSummary reads a serialized campaign artifact (BENCH_campaign.json)
-// and sanity-checks its schema header. Versions 1 through SchemaVersion are
+// and sanity-checks its schema header. Versions 8 through SchemaVersion are
 // accepted — comparison only touches fields that exist in every one of them;
 // newer versions are rejected, since a bump signals an incompatible reshape
-// that would silently decode to zero values here.
+// that would silently decode to zero values here. Versions before 8 predate
+// the PCG source: their decision streams were drawn from math/rand, so they
+// are refused like an artifact that names "legacy".
 func LoadSummary(path string) (*Summary, error) {
 	var s Summary
 	if err := safeio.DecodeJSONFile(path, &s); err != nil {
@@ -45,14 +47,22 @@ func LoadSummary(path string) (*Summary, error) {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, s.Schema, SchemaName)
 	}
 	if s.SchemaVersion < 1 || s.SchemaVersion > SchemaVersion {
-		return nil, fmt.Errorf("campaign: %s: schema version %d, this build understands 1..%d",
+		return nil, fmt.Errorf("campaign: %s: schema version %d, this build understands 8..%d",
 			path, s.SchemaVersion, SchemaVersion)
 	}
-	if err := rng.Check(s.Spec.RNG); err != nil {
+	source := s.Spec.RNG
+	if s.SchemaVersion < firstPCGSchemaVersion {
+		source = "legacy"
+	}
+	if err := rng.Check(source); err != nil {
 		return nil, fmt.Errorf("campaign: %s: %v", path, err)
 	}
 	return &s, nil
 }
+
+// firstPCGSchemaVersion is the first summary schema whose campaigns could
+// draw from PCG; every earlier artifact was drawn from math/rand.
+const firstPCGSchemaVersion = 8
 
 // CellDelta is the detection-rate movement of one (tool, benchmark) cell.
 type CellDelta struct {

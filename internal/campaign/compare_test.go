@@ -200,7 +200,7 @@ func TestCompareValidationCounts(t *testing.T) {
 
 // TestRNGSpecValidation pins the refusal of artifacts that name the removed
 // legacy random source: a summary, a checkpoint, a perf artifact and a trace
-// naming "legacy" must each be refused with an error that names the source
+// naming "legacy", and a summary older than the echo, must each be refused with an error that names the source
 // as removed — never loaded and replayed on PCG.
 func TestRNGSpecValidation(t *testing.T) {
 	dir := t.TempDir()
@@ -248,8 +248,18 @@ func TestRNGSpecValidation(t *testing.T) {
 	if _, err := LoadSummary(sumPath); err != nil {
 		t.Fatalf("pcg summary refused: %v", err)
 	}
+	// A pre-v8 summary carries no echo, but its campaign drew from
+	// math/rand: it is refused the same way.
+	pre := *sum
+	pre.SchemaVersion = firstPCGSchemaVersion - 1
+	prePath := filepath.Join(dir, "pre.json")
+	if err := pre.WriteJSON(prePath); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadSummary(prePath)
+	wantRemoved("pre-v8 summary", err)
 	nameLegacy(sumPath, "spec")
-	_, err := LoadSummary(sumPath)
+	_, err = LoadSummary(sumPath)
 	wantRemoved("summary", err)
 
 	if _, err := LoadCheckpoint(ckPath); err != nil {

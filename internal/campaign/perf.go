@@ -110,6 +110,9 @@ type PerfSpecInfo struct {
 	Warmup   int      `json:"warmup"`
 	SeedBase int64    `json:"seed_base"`
 	Handoff  string   `json:"handoff,omitempty"`
+	// RNG is never written. Perf artifacts of earlier builds named their
+	// random source here; LoadPerfSummary refuses "legacy" (rng.Check).
+	RNG string `json:"rng,omitempty"`
 }
 
 // HandoffCell is one aggregated measurement of the Figure 14 handoff matrix:
@@ -388,16 +391,8 @@ func LoadPerfSummary(path string) (*PerfSummary, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("campaign: %s: %v", path, err)
 	}
-	// The spec's rng echo is read only to refuse the removed legacy source.
-	var echo struct {
-		Spec struct {
-			RNG string `json:"rng"`
-		} `json:"spec"`
-	}
-	if err := json.Unmarshal(data, &echo); err == nil {
-		if err := rng.Check(echo.Spec.RNG); err != nil {
-			return nil, fmt.Errorf("campaign: %s: %v", path, err)
-		}
+	if err := rng.Check(s.Spec.RNG); err != nil {
+		return nil, fmt.Errorf("campaign: %s: %v", path, err)
 	}
 	if s.Schema != PerfSchemaName {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, s.Schema, PerfSchemaName)

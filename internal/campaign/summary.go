@@ -339,31 +339,32 @@ type Summary struct {
 	Cells []Cell `json:"cells,omitempty"`
 }
 
-// specInfo echoes the campaign parameters into their summary form; the same
-// echo opens the structured event stream (campaign_start) and heads the
-// serialized artifact.
-func specInfo(spec Spec) SpecInfo {
+// Info echoes the campaign parameters, defaults applied, into their summary
+// form; the same echo opens the structured event stream (campaign_start) and
+// heads the serialized artifact.
+func (s Spec) Info() SpecInfo {
+	s = s.withDefaults()
 	info := SpecInfo{
-		Runs: spec.Runs, SeedBase: spec.SeedBase,
-		Workers: spec.Workers, ShardSize: spec.ShardSize,
+		Runs: s.Runs, SeedBase: s.SeedBase,
+		Workers: s.Workers, ShardSize: s.ShardSize,
 		Benchmarks: []string{}, Litmus: []string{},
-		Policy:    spec.Policy.Name(),
-		RecordDir: spec.RecordDir, RecordAll: spec.RecordAll,
-		Validate:   spec.ValidateAxioms,
-		CaptureDir: spec.CaptureDir, CaptureSlowNS: spec.CaptureSlowNS,
-		Analyzers: spec.Analyzers,
+		Policy:    s.Policy.Name(),
+		RecordDir: s.RecordDir, RecordAll: s.RecordAll,
+		Validate:   s.ValidateAxioms,
+		CaptureDir: s.CaptureDir, CaptureSlowNS: s.CaptureSlowNS,
+		Analyzers: s.Analyzers,
 	}
-	if spec.Guides != nil {
-		info.GuideDir = spec.Guides.Dir()
-		info.GuideTraces = spec.Guides.Len()
+	if s.Guides != nil {
+		info.GuideDir = s.Guides.Dir()
+		info.GuideTraces = s.Guides.Len()
 	}
-	for _, t := range spec.Tools {
+	for _, t := range s.Tools {
 		info.Tools = append(info.Tools, t.Name)
 	}
-	for _, b := range spec.Benchmarks {
+	for _, b := range s.Benchmarks {
 		info.Benchmarks = append(info.Benchmarks, b.Name)
 	}
-	for _, l := range spec.Litmus {
+	for _, l := range s.Litmus {
 		info.Litmus = append(info.Litmus, l.Name)
 	}
 	return info
